@@ -10,8 +10,8 @@ Subcommands
 Reports are CSV (default) or JSON built from identical pre-formatted string
 rows, so the two formats carry the same values field for field.  Output is
 deterministic; the timestamp header is the only varying line and is dropped
-with --no-timestamp.  Exit codes: 0 clean, 1 usage or I/O failure, 2 flagged
-rows / out-of-domain points.
+with --no-timestamp.  Exit codes: 0 clean, 1 usage (argparse errors included)
+or I/O failure, 2 flagged rows / out-of-domain points.
 """
 
 from __future__ import annotations
@@ -189,14 +189,14 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         row = {"label": name, "value": "", "truncation_prime": "", "tail_bound": ""}
         if name == "C2" or name == "C3":
             res = (constants.constant_C2 if name == "C2" else constants.constant_C3)(1e-6)
-            row.update(value=_fmt(res.value), truncation_prime=str(res.truncation_prime),
+            row.update(value=f"{res.value:.15g}", truncation_prime=str(res.truncation_prime),
                        tail_bound=f"{res.tail_bound:.3e}")
         elif name == "C0":
-            row["value"] = _fmt(constants.constant_C0())
+            row["value"] = f"{constants.constant_C0():.15g}"
         elif name.startswith("CN="):
             n = int(name.partition("=")[2])
             row["label"] = f"CN={n}"
-            row["value"] = _fmt(constants.singular_series_CN(n))
+            row["value"] = f"{constants.singular_series_CN(n):.15g}"
         else:
             raise DomainError(f"unknown constant {name!r}; use C2, C3, C0 or CN=<N>")
         rows.append(row)
@@ -206,8 +206,15 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the CLI's exit codes: a usage error exits 1, since 2 means flagged."""
+
+    def error(self, message: str):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triplesieve",
         description="Recompute the weighted-sieve constants for (p, p+2, p+6) "
                     "almost-prime triples and count them at desk scale.",

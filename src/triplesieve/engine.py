@@ -1,12 +1,16 @@
 """Segmented factor-counting sieve and the almost-prime pattern counters.
 
-Omega(n) (prime factors with multiplicity) is sieved segment by segment: for
-every prime p <= sqrt(hi) and every power q = p, p^2, ... the multiples of q
-in the segment gain one factor and lose one p from their running cofactor;
-whatever cofactor exceeds 1 at the end is a single leftover prime.  Segments
-are independent work units distributed over a thread pool; every reduction is
-an integer sum, so results do not depend on scheduling or thread count
-(TRIPLESIEVE_THREADS overrides the pool size).
+Omega(n) (prime factors with multiplicity) is sieved segment by segment.  Each
+integer of a segment has one int32 word holding ``Omega << 20`` plus a
+fixed-point sum of ``round(log p * 2**14)`` over the prime powers found so far.
+A 360360-periodic wheel (2^3 3^2 5 7 11 13) is copied in first; then every
+other prime power q = p^k < hi of a prime p <= sqrt(hi - 1) adds its word to the
+multiples of q, by one strided add for the powers with many multiples per
+segment and by one vectorised scatter for the rest.  Whatever part of n the
+log sum misses is a single leftover prime, found by comparing the sum with
+log n.  Segments are independent work units distributed over a thread pool;
+every reduction is an integer sum, so results do not depend on scheduling or
+thread count (TRIPLESIEVE_THREADS overrides the pool size).
 
 The counters all reduce to masks over an Omega array: an integer is prime
 exactly when Omega == 1, so the triple counter for primes p <= x with
@@ -16,6 +20,7 @@ The mirrored counters (N - p almost-prime) assemble the full array up to N.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +33,8 @@ from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-SEGMENT_CAP = 1 << 24
+SEGMENT_SIZE = 1 << 20  # streaming segments: the fastest size measured near 1e8 and 1e10
+SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
 MAX_MIRROR_N = 2 * 10**9  # full-array counters hold one byte per integer
 MIRROR_KINDS = ("D_1ab", "D_1r", "D_sr")
@@ -69,27 +75,98 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _omega_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1)."""
-    n = hi - lo
-    omega = np.zeros(n, dtype=np.uint8)
-    if n == 0:
-        return omega
-    residual = np.arange(lo, hi, dtype=np.int64)
-    limit = math.isqrt(hi - 1)
-    for p in base_primes:
-        p = int(p)
-        if p > limit:
-            break
+_OMEGA_SHIFT = 20  # Omega above, the fixed-point log sum below
+_LOG_SCALE = 1 << 14
+_WHEEL_PERIOD = 360360  # 2^3 3^2 5 7 11 13
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_SCATTER_HITS = 256  # prime powers with fewer multiples per segment are scattered
+
+
+def _log_words(p: np.ndarray) -> np.ndarray:
+    """The word one factor p adds: 1 << 20 plus round(log p * 2**14)."""
+    return (1 << _OMEGA_SHIFT) + np.rint(np.log(p) * _LOG_SCALE).astype(np.int64)
+
+
+@functools.cache
+def _wheel() -> np.ndarray:
+    """Words of the wheel's prime powers for one period, n = 0 .. 360359."""
+    wheel = np.zeros(_WHEEL_PERIOD, dtype=np.int32)
+    for p, word in zip(_WHEEL_PRIMES, _log_words(np.array(_WHEEL_PRIMES)).tolist()):
         q = p
-        while q < hi:
-            start = ((lo + q - 1) // q) * q
-            if start < hi:
-                sl = slice(start - lo, None, q)
-                omega[sl] += 1
-                residual[sl] //= p
+        while _WHEEL_PERIOD % q == 0:
+            wheel[::q] += word
             q *= p
-    omega[residual > 1] += 1
+    wheel.flags.writeable = False
+    return wheel
+
+
+def _prime_powers(hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel does
+    not cover, with the word each adds."""
+    primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+    primes = primes.astype(np.int64)
+    powers, words = [primes], [_log_words(primes)]
+    q = primes
+    while len(q):  # q * p < hi holds for a prefix, since the primes ascend
+        p = primes[: len(q)]
+        q = (q * p)[q <= (hi - 1) // p]
+        powers.append(q)
+        words.append(words[0][: len(q)])
+    powers, words = np.concatenate(powers), np.concatenate(words)
+    live = _WHEEL_PERIOD % powers != 0
+    return powers[live], words[live]
+
+
+def _omega_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1).
+
+    Every prime power of a prime p <= sqrt(hi - 1) is counted (the wheel's
+    primes above sqrt(hi - 1) have no square below hi), so n = m * c with m
+    the part found and c either 1 or one prime above sqrt(hi - 1).  The low
+    field of n's word is S = 2**14 * (log m + e): Omega(m) < 34 below 2**34,
+    so the rounding error |e| <= 33 * 2**-15 < 0.0011 and the word stays below
+    2**31, and log m < 24 keeps S below 2**20.  The range is cut into chunks
+    [a, b) with b <= 1.5 a, and c is taken to be prime exactly when
+    S < T = floor(2**14 (log a - 1/4)):
+    if c = 1, S / 2**14 >= log a - 0.0011 > log a - 1/4; if c >= 2,
+    S / 2**14 <= log n - log 2 + 0.0011 < log a + 0.406 - 0.693 + 0.0011,
+    which is below log a - 1/4 - 2**-14.  So the test is exact.
+    """
+    n = hi - lo
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    wheel = _wheel()
+    words = np.empty(n, dtype=np.int32)
+    pos, phase = 0, lo % _WHEEL_PERIOD
+    while pos < n:
+        take = min(_WHEEL_PERIOD - phase, n - pos)
+        words[pos : pos + take] = wheel[phase : phase + take]
+        pos, phase = pos + take, 0
+
+    powers, adds = _prime_powers(hi, base_primes)
+    starts = (-lo) % powers
+    many = powers * _SCATTER_HITS <= n
+    for q, start, add in zip(powers[many].tolist(), starts[many].tolist(), adds[many].tolist()):
+        words[start::q] += add
+    few = ~many & (starts < n)
+    powers, starts, adds = powers[few], starts[few], adds[few]
+    if len(powers):
+        # all multiples of the remaining powers at once; two powers may share one
+        hits = (n - 1 - starts) // powers + 1
+        first = np.cumsum(hits) - hits
+        at = np.repeat(starts - first * powers, hits)
+        at += np.repeat(powers, hits) * np.arange(int(first[-1] + hits[-1]))
+        np.add.at(words, at, np.repeat(adds.astype(np.int32), hits))
+
+    omega = (words >> _OMEGA_SHIFT).astype(np.uint8)
+    log_sum = words & ((1 << _OMEGA_SHIFT) - 1)
+    a = lo
+    while a < hi:
+        b = min(hi, a + max(a // 2, 1))
+        omega[a - lo : b - lo] += log_sum[a - lo : b - lo] < math.floor(
+            (math.log(a) - 0.25) * _LOG_SCALE
+        )
+        a = b
     return omega
 
 
@@ -117,7 +194,7 @@ def _scan(
     limit: int,
     conditions: tuple[tuple[int, int], ...],
     checkpoints: tuple[int, ...],
-    segment_size: int = SEGMENT_CAP,
+    segment_size: int = SEGMENT_SIZE,
     collect: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Count primes p <= each checkpoint with Omega(p + off) <= bound per condition.
@@ -156,7 +233,7 @@ def _scan(
     return counts, positions
 
 
-def _mirror_array(limit: int, segment_size: int = SEGMENT_CAP) -> np.ndarray:
+def _mirror_array(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     """Omega(n) for all 0 <= n <= limit (entries 0, 1 are 0) as one array."""
     if limit > MAX_MIRROR_N:
         raise CapacityError(f"mirrored counts need the full array; N capped at {MAX_MIRROR_N}")
@@ -223,7 +300,7 @@ def _check_positive_int(value: int, name: str) -> int:
     return value
 
 
-def count_pi_1ab(x: int, a: int, b: int, segment_size: int = SEGMENT_CAP) -> TripleCountResult:
+def count_pi_1ab(x: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> TripleCountResult:
     """Primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b."""
     x = int(x)
     if x < 0 or x > MAX_SIEVE_BOUND:
@@ -233,24 +310,23 @@ def count_pi_1ab(x: int, a: int, b: int, segment_size: int = SEGMENT_CAP) -> Tri
     return _result("pi_1ab", x, {"a": a, "b": b}, int(counts[0]))
 
 
-def pi_1ab_positions(x: int, a: int, b: int, segment_size: int = SEGMENT_CAP) -> np.ndarray:
+def pi_1ab_positions(x: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     """The qualifying primes themselves (ascending), for oracle comparisons."""
     _, hits = _scan(int(x), ((2, int(a)), (6, int(b))), (int(x),), segment_size, collect=True)
     return hits
 
 
-def count_D_1ab(N: int, a: int, b: int, segment_size: int = SEGMENT_CAP) -> TripleCountResult:
+def count_D_1ab(N: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> TripleCountResult:
     """Primes p <= N with N - p >= 2, Omega(N-p) <= a, Omega(p+6) <= b."""
     N = int(N)
     if N % 2 or N < 8:
         raise DomainError(f"N must be an even integer >= 8, got {N}")
     a, b = _check_positive_int(a, "a"), _check_positive_int(b, "b")
     om = _mirror_array(N + 6, segment_size)
-    prime = om[2 : N + 1] == 1
-    plus6 = om[8 : N + 7] <= b
-    mirror = np.zeros(N - 1, dtype=bool)
-    mirror[: N - 3] = om[2 : N - 1][::-1] <= a
-    return _result("D_1ab", N, {"a": a, "b": b}, int((prime & mirror & plus6).sum()))
+    hit = om[2 : N - 1] == 1  # p = 2 .. N-2 prime (N - p = 1 is no almost-prime)
+    hit &= om[N - 2 : 1 : -1] <= a  # Omega(N - p) for the same p
+    hit &= om[8 : N + 5] <= b  # Omega(p + 6)
+    return _result("D_1ab", N, {"a": a, "b": b}, int(np.count_nonzero(hit)))
 
 
 def count_chen_variants(
@@ -258,7 +334,7 @@ def count_chen_variants(
     size: int,
     s: int | None = None,
     r: int | None = None,
-    segment_size: int = SEGMENT_CAP,
+    segment_size: int = SEGMENT_SIZE,
 ) -> TripleCountResult:
     """The two-element pattern counters: pi_1r, D_1r, D_sr."""
     size = int(size)
@@ -277,14 +353,18 @@ def count_chen_variants(
     r = _check_positive_int(r, "r")
     om = _mirror_array(size, segment_size)
     head = om[2 : size - 1]  # Omega(n) for n = 2 .. N-2
-    mirror = head[::-1] <= r  # Omega(N-n) for the same n
     if kind == "D_1r":
-        return _result("D_1r", size, {"r": r}, int(((head == 1) & mirror).sum()))
-    s = _check_positive_int(s, "s")
-    return _result("D_sr", size, {"s": s, "r": r}, int(((head <= s) & mirror).sum()))
+        params = {"r": r}
+        hit = head == 1
+    else:
+        s = _check_positive_int(s, "s")
+        params = {"s": s, "r": r}
+        hit = head <= s
+    hit &= head[::-1] <= r  # Omega(N-n) for the same n
+    return _result(kind, size, params, int(np.count_nonzero(hit)))
 
 
-def pi_1r_positions(x: int, r: int, segment_size: int = SEGMENT_CAP) -> np.ndarray:
+def pi_1r_positions(x: int, r: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
     _, hits = _scan(int(x), ((2, int(r)),), (int(x),), segment_size, collect=True)
     return hits
 
@@ -294,7 +374,7 @@ def ratio_scan(
     a: int,
     b: int | None,
     checkpoints: list[int],
-    segment_size: int = SEGMENT_CAP,
+    segment_size: int = SEGMENT_SIZE,
 ) -> list[TripleCountResult]:
     """Counts and count/predictor ratios at each checkpoint (one sieve pass)."""
     marks = [int(c) for c in checkpoints]

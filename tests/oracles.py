@@ -1,13 +1,15 @@
 """Independent brute-force oracles used across the test suite.
 
 Everything here deliberately avoids the package's own numerical paths:
-trial division instead of sieves, composite Simpson / midpoint cubature
-instead of the adaptive and tensor integrators, and a corrected-trapezoid
-chain recursion instead of the spline one.
+trial division instead of sieves, a residual-division Omega sieve instead of
+the wheel and log-sum kernel, composite Simpson / midpoint cubature instead of
+the adaptive and tensor integrators, and a corrected-trapezoid chain recursion
+instead of the spline one.
 """
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 
@@ -24,6 +26,35 @@ def omega_trial(n: int) -> int:
     if n > 1:
         count += 1
     return count
+
+
+def omega_block_residual(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Omega(n) for n in [lo, hi) by dividing a residual copy of each n.
+
+    Every prime power q of a prime p <= sqrt(hi - 1) adds one factor to its
+    multiples and divides p out of their residual; a residual above 1 at the
+    end is one leftover prime.  Exact integer arithmetic throughout.
+    """
+    n = hi - lo
+    omega = np.zeros(n, dtype=np.uint8)
+    if n == 0:
+        return omega
+    residual = np.arange(lo, hi, dtype=np.int64)
+    limit = math.isqrt(hi - 1)
+    for p in base_primes:
+        p = int(p)
+        if p > limit:
+            break
+        q = p
+        while q < hi:
+            start = ((lo + q - 1) // q) * q
+            if start < hi:
+                sl = slice(start - lo, None, q)
+                omega[sl] += 1
+                residual[sl] //= p
+            q *= p
+    omega[residual > 1] += 1
+    return omega
 
 
 def is_prime(n: int) -> bool:

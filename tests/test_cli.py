@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from triplesieve import constants
 from triplesieve.cli import main
 
 
@@ -98,7 +99,8 @@ def test_constants_default_set(capsys):
     rows = parse_csv(out)
     assert code == 0
     assert [r["label"] for r in rows] == ["C2", "C3", "C0"]
-    assert rows[0]["value"] == "1.320324"
+    assert rows[0]["value"] == "1.32032387005627"  # 15 significant digits
+    assert rows[2]["value"] == "0.00388643967868121"
     assert int(rows[1]["truncation_prime"]) >= 100_000
 
 
@@ -112,6 +114,44 @@ def test_constants_singular_series(capsys):
 def test_constants_unknown_name(capsys):
     code, _, err = run_cli(capsys, "constants", "C9")
     assert code == 1 and "unknown constant" in err
+
+
+def test_constants_values_carry_15_digits(capsys):
+    _, out, _ = run_cli(capsys, "constants", "C3", "C0", "CN=30", "--no-timestamp")
+    values = [float(r["value"]) for r in parse_csv(out)]
+    exact = [constants.constant_C3(1e-6).value, constants.constant_C0(),
+             constants.singular_series_CN(30)]
+    assert all(v == pytest.approx(e, rel=1e-14) for v, e in zip(values, exact))
+
+
+# ---------------------------------------------------------------------------
+# argparse errors
+# ---------------------------------------------------------------------------
+
+
+def run_cli_exit(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_bad_subcommand_exits_one(capsys):
+    code, _, err = run_cli_exit(capsys, "bogus")
+    assert code == 1
+    assert "invalid choice" in err and "usage" in err.lower()
+
+
+def test_non_integer_size_exits_one(capsys):
+    code, _, err = run_cli_exit(capsys, "count", "pi_1ab", "1e8", "1", "1")
+    assert code == 1
+    assert "invalid int value" in err and "usage" in err.lower()
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli_exit(capsys, "count", "--help")
+    assert code == 0
+    assert out.lower().startswith("usage")
 
 
 # ---------------------------------------------------------------------------

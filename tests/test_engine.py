@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from triplesieve.engine import (
     SEGMENT_CAP,
+    SEGMENT_SIZE,
+    _omega_block,
     TripleCountResult,
     count_chen_variants,
     count_D_1ab,
@@ -14,6 +18,7 @@ from triplesieve.engine import (
     thread_count,
 )
 from triplesieve.errors import CapacityError, DomainError
+from triplesieve.primes import primes_up_to
 
 import oracles
 
@@ -54,6 +59,47 @@ def test_omega_random_windows_at_large_bases(base):
     rng = np.random.default_rng(base)
     for n in rng.integers(base, base + 512, size=40):
         assert seg.omega(int(n)) == oracles.omega_trial(int(n))
+
+
+def _assert_kernel_matches_oracle(lo, hi):
+    base_primes = primes_up_to(math.isqrt(max(hi - 1, 2)))
+    got = _omega_block(lo, hi, base_primes)
+    want = oracles.omega_block_residual(lo, hi, base_primes)
+    assert got.dtype == np.uint8 and len(got) == hi - lo
+    mismatches = np.nonzero(got != want)[0]
+    assert mismatches.size == 0, f"first mismatch at n = {lo + int(mismatches[0])}"
+
+
+def test_kernel_matches_residual_oracle_below_1e6():
+    _assert_kernel_matches_oracle(2, 10**6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 277])
+def test_kernel_matches_residual_oracle_across_wheel_period(k):
+    period = 360360  # 2^3 3^2 5 7 11 13
+    _assert_kernel_matches_oracle(k * period - 5000, k * period + 5000)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**10 - 2**20, 10**10),  # the largest logs, so the least room in the log field
+    # many factors whose rounded log words all err one way: the sum drifts
+    # from log n by +9.6e-4 at 2^33 and by -1.8e-4 at 17^2 31^5
+    (2**33 - 500, 2**33 + 500),
+    (17**2 * 31**5 - 500, 17**2 * 31**5 + 500),
+])
+def test_kernel_matches_residual_oracle_at_log_extremes(lo, hi):
+    _assert_kernel_matches_oracle(lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2), (2, 3), (2, 4), (2, 50), (99, 100)])
+def test_kernel_matches_residual_oracle_on_tiny_ranges(lo, hi):
+    _assert_kernel_matches_oracle(lo, hi)
+
+
+@pytest.mark.parametrize("size", [997, 4096, SEGMENT_SIZE])
+def test_kernel_matches_residual_oracle_per_segment_size(size):
+    for lo in (2, 10**8 - size // 2):
+        _assert_kernel_matches_oracle(lo, lo + size)
 
 
 def test_omega_segment_accessor_bounds():
