@@ -18,9 +18,11 @@ from .constants import (
 from .engine import (
     OmegaSegment,
     TripleCountResult,
-    count_chen_variants,
     count_D_1ab,
+    count_D_1r,
+    count_D_sr,
     count_pi_1ab,
+    count_pi_1r,
     ratio_scan,
     sieve_omega,
 )
@@ -76,8 +78,10 @@ __all__ = [
     "constant_C2",
     "constant_C3",
     "count_D_1ab",
-    "count_chen_variants",
+    "count_D_1r",
+    "count_D_sr",
     "count_pi_1ab",
+    "count_pi_1r",
     "integrate_1d",
     "integrate_nested",
     "lower_f0",

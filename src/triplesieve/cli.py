@@ -117,8 +117,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in checks) else 2
 
 
-_COUNT_PARAMS = {"pi_1ab": ("a", "b"), "D_1ab": ("a", "b"),
-                 "pi_1r": ("r",), "D_1r": ("r",), "D_sr": ("s", "r")}
 _COUNT_COLUMNS = ["kind", "size", "a", "b", "s", "r", "count", "predicted", "ratio"]
 
 
@@ -131,20 +129,9 @@ def _count_row(res: engine.TripleCountResult) -> dict[str, str]:
     return row
 
 
-def _run_count(kind: str, size: int, values: list[int]) -> engine.TripleCountResult:
-    names = _COUNT_PARAMS[kind]
-    if len(values) != len(names):
-        raise DomainError(f"{kind} takes parameters {' '.join(names)}")
-    params = dict(zip(names, values))
-    if kind == "pi_1ab":
-        return engine.count_pi_1ab(size, params["a"], params["b"])
-    if kind == "D_1ab":
-        return engine.count_D_1ab(size, params["a"], params["b"])
-    return engine.count_chen_variants(kind, size, **params)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
-    res = _run_count(args.kind, args.size, args.params)
+    engine.kind_params(args.kind, args.params)  # arity errors as usage errors, not TypeError
+    res = getattr(engine, f"count_{args.kind}")(args.size, *args.params)
     text = _render("count", _COUNT_COLUMNS, [_count_row(res)],
                    args.format, not args.no_timestamp)
     _emit(text, args.out)
@@ -153,7 +140,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
     checkpoints = [int(float(c)) for c in args.checkpoints.split(",") if c.strip()]
-    results = engine.ratio_scan(args.kind, args.a, args.b, checkpoints)
+    results = engine.ratio_scan(args.kind, args.params, checkpoints)
     text = _render("ratio", _COUNT_COLUMNS, [_count_row(r) for r in results],
                    args.format, not args.no_timestamp)
     _emit(text, args.out)
@@ -230,16 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("count", help="one counting query")
-    p.add_argument("kind", choices=sorted(_COUNT_PARAMS))
+    p.add_argument("kind", choices=sorted(engine.KINDS))
     p.add_argument("size", type=int)
     p.add_argument("params", type=int, nargs="*")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("ratio", help="counts vs predictor at ascending checkpoints")
-    p.add_argument("kind", choices=sorted(_COUNT_PARAMS))
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("kind", choices=sorted(engine.KINDS))
+    p.add_argument("params", type=int, nargs="*")
     p.add_argument("--checkpoints", required=True, metavar="x1,x2,...")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_ratio)

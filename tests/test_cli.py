@@ -67,6 +67,43 @@ def test_ratio_scan_rows(capsys):
     assert int(rows[1]["count"]) > int(rows[0]["count"])
 
 
+def test_ratio_scan_output_bytes(capsys):
+    code, out, _ = run_cli(
+        capsys, "ratio", "pi_1ab", "1", "1", "--checkpoints", "1000,10000", "--no-timestamp"
+    )
+    assert code == 0
+    assert out == (
+        "kind,size,a,b,s,r,count,predicted,ratio\n"
+        "pi_1ab,1000,1,1,,,15,8.671404,1.729824\n"
+        "pi_1ab,10000,1,1,,,55,36.582484,1.503452\n"
+    )
+
+
+def test_ratio_takes_the_kinds_parameters(capsys):
+    code, out, _ = run_cli(
+        capsys, "ratio", "pi_1r", "1", "--checkpoints", "1000,100000", "--no-timestamp"
+    )
+    assert code == 0
+    assert [(r["size"], r["r"], r["count"]) for r in parse_csv(out)] == [
+        ("1000", "1", "35"), ("100000", "1", "1224"),
+    ]
+    code, _, err = run_cli(capsys, "ratio", "pi_1r", "1", "7", "--checkpoints", "100")
+    assert code == 1
+    assert "parameters" in err
+
+
+def test_ratio_factor_budget_below_one_exits_one(capsys):
+    code, _, err = run_cli(capsys, "ratio", "pi_1ab", "0", "1", "--checkpoints", "100")
+    assert code == 1
+    assert "a must be >= 1" in err
+
+
+def test_count_pi_1r_below_four(capsys):
+    code, out, _ = run_cli(capsys, "count", "pi_1r", "3", "1", "--no-timestamp")
+    assert code == 0
+    assert parse_csv(out)[0]["count"] == "1"  # p = 3, since 5 is prime
+
+
 def test_functions_rows(capsys):
     code, out, _ = run_cli(
         capsys, "functions", "f0", "--points", "3,1.5", "--no-timestamp"

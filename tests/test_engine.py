@@ -1,18 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from triplesieve import engine
 from triplesieve.engine import (
     SEGMENT_CAP,
     SEGMENT_SIZE,
     _omega_block,
     TripleCountResult,
-    count_chen_variants,
     count_D_1ab,
+    count_D_1r,
+    count_D_sr,
     count_pi_1ab,
-    pi_1ab_positions,
-    pi_1r_positions,
+    count_pi_1r,
     ratio_scan,
     sieve_omega,
     thread_count,
@@ -132,9 +134,9 @@ def test_triple_counts_match_examples():
     assert count_pi_1ab(4, 1, 1).count == 0
     assert count_D_1ab(30, 2, 2).count == 7  # p = 29 excluded: N - p = 1
     assert count_D_1ab(8, 1, 1).count == 1
-    assert count_chen_variants("pi_1r", 20, r=1).count == 4  # 3, 5, 11, 17
-    assert count_chen_variants("D_1r", 10, r=2).count == 3
-    assert count_chen_variants("D_sr", 10, s=1, r=2).count == 3
+    assert count_pi_1r(20, 1).count == 4  # 3, 5, 11, 17
+    assert count_D_1r(10, 2).count == 3
+    assert count_D_sr(10, 1, 2).count == 3
 
 
 def test_pi_counts_match_brute_force_grid():
@@ -143,18 +145,59 @@ def test_pi_counts_match_brute_force_grid():
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             brute = oracles.brute_pi_1ab(x, a, b, table)
-            hits = pi_1ab_positions(x, a, b)
-            assert hits.tolist() == brute
+            assert oracles.hit_positions("pi_1ab", x, a, b) == brute
     for r in (1, 2, 3):
-        assert pi_1r_positions(x, r).tolist() == oracles.brute_pi_1r(x, r, table)
+        assert oracles.hit_positions("pi_1r", x, r) == oracles.brute_pi_1r(x, r, table)
+
+
+def test_pi_1r_small_sizes_match_brute_force():
+    table = oracles.omega_table(52)
+    for r in (1, 2):
+        for x in range(51):
+            assert count_pi_1r(x, r).count == len(oracles.brute_pi_1r(x, r, table)), (x, r)
 
 
 def test_mirrored_counts_match_brute_force():
     for N in range(8, 301, 2):
         assert count_D_1ab(N, 2, 2).count == oracles.brute_D_1ab(N, 2, 2)
     for N in (100, 222, 1000):
-        assert count_chen_variants("D_1r", N, r=2).count == oracles.brute_D_1r(N, 2)
-        assert count_chen_variants("D_sr", N, s=2, r=3).count == oracles.brute_D_sr(N, 2, 3)
+        assert count_D_1r(N, 2).count == oracles.brute_D_1r(N, 2)
+        assert count_D_sr(N, 2, 3).count == oracles.brute_D_sr(N, 2, 3)
+
+
+def _mirror_edge_sizes(step):
+    """Even N whose N/2 is one before, on and one after 2 + 3 step, the fourth segment's start."""
+    edge = 2 + 3 * step
+    return [2 * (edge - 1), 2 * edge, 2 * (edge + 1)]
+
+
+@pytest.mark.parametrize("step", [7, 64, 1001])
+def test_mirrored_counts_match_full_array_reference(monkeypatch, step):
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", step)
+    sizes = _mirror_edge_sizes(step) + [8, 10]
+    if step == 1001:
+        sizes.append(2 * (2 + 999 * step))  # N ~ 2e6, N/2 on a segment start
+    for N in sizes:
+        assert count_D_1ab(N, 2, 3).count == oracles.mirrored_count("D_1ab", N, 2, 3), N
+        assert count_D_1r(N, 2).count == oracles.mirrored_count("D_1r", N, 2), N
+        assert count_D_sr(N, 2, 3).count == oracles.mirrored_count("D_sr", N, 2, 3), N
+        assert count_D_sr(N, 3, 1).count == oracles.mirrored_count("D_sr", N, 3, 1), N
+
+
+def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 1 << 16)
+    count_D_1ab(1000, 2, 2)  # the wheel and small prime tables are built once
+    peaks = []
+    for N in (4 * 10**6, 4 * 10**7):
+        tracemalloc.start()
+        try:
+            count_D_1ab(N, 2, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a full array to N would be N bytes; two padded 2^16 segments need ~1.5 MB
+    assert max(peaks) < 3 * 2**20, peaks
 
 
 def test_vacuous_conditions_count_all_primes():
@@ -167,31 +210,28 @@ def test_count_monotonicity():
     assert count_pi_1ab(5000, 3, 2).count >= base
     assert count_pi_1ab(5000, 2, 3).count >= base
     assert count_pi_1ab(6000, 2, 2).count >= base
-    assert count_chen_variants("D_sr", 500, s=2, r=2).count >= count_chen_variants(
-        "D_1r", 500, r=2
-    ).count
+    assert count_D_sr(500, 2, 2).count >= count_D_1r(500, 2).count
 
 
-def test_segmentation_invariance():
-    x = 30_000
-    expected = count_pi_1ab(x, 2, 3).count
-    for size in (997, 4096, 2**14):
-        assert count_pi_1ab(x, 2, 3, segment_size=size).count == expected
-    n = 9998
-    expected = count_D_1ab(n, 2, 2).count
-    for size in (1001, 4096):
-        assert count_D_1ab(n, 2, 2, segment_size=size).count == expected
+def test_segmentation_invariance(monkeypatch):
+    x, n = 30_000, 9998
+    expected = (count_pi_1ab(x, 2, 3).count, count_D_1ab(n, 2, 2).count)
+    for size in (997, 1001, 4096, 2**14):
+        monkeypatch.setattr(engine, "SEGMENT_SIZE", size)
+        assert (count_pi_1ab(x, 2, 3).count, count_D_1ab(n, 2, 2).count) == expected
 
 
 def test_thread_count_invariance(monkeypatch):
     x = 200_000
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
     assert thread_count() == 1
-    single = count_pi_1ab(x, 2, 2, segment_size=2**14).count
+    single = count_pi_1ab(x, 2, 2).count
+    mirrored = count_D_sr(x, 2, 3).count
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "4")
     assert thread_count() == 4
-    threaded = count_pi_1ab(x, 2, 2, segment_size=2**14).count
-    assert single == threaded
+    assert count_pi_1ab(x, 2, 2).count == single
+    assert count_D_sr(x, 2, 3).count == mirrored
 
 
 def test_domain_errors():
@@ -200,13 +240,17 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         count_D_1ab(6, 1, 1)  # below the minimum even size
     with pytest.raises(DomainError):
-        count_chen_variants("D_1r", 15, r=2)  # odd N
+        count_D_1r(15, 2)  # odd N
     with pytest.raises(DomainError):
         count_pi_1ab(100, 0, 1)  # factor budget below 1
     with pytest.raises(DomainError):
-        count_chen_variants("pi_1ab", 100, r=1)  # wrong dispatcher
+        ratio_scan("pi_1ab", (1,), [100])  # wrong arity
     with pytest.raises(DomainError):
-        count_chen_variants("nonsense", 100, r=1)
+        ratio_scan("nonsense", (1,), [100])
+    with pytest.raises(DomainError):
+        ratio_scan("pi_1ab", (0, 1), [100])  # factor budget below 1
+    with pytest.raises(DomainError):
+        count_pi_1r(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +259,7 @@ def test_domain_errors():
 
 
 def test_ratio_scan_matches_individual_counts():
-    results = ratio_scan("pi_1ab", 1, 1, [1000, 10_000, 50_000])
+    results = ratio_scan("pi_1ab", (1, 1), [1000, 10_000, 50_000])
     assert [r.count for r in results] == [
         count_pi_1ab(x, 1, 1).count for x in (1000, 10_000, 50_000)
     ]
@@ -223,17 +267,17 @@ def test_ratio_scan_matches_individual_counts():
 
 
 def test_ratio_scan_validation():
-    assert ratio_scan("pi_1ab", 1, 1, []) == []
+    assert ratio_scan("pi_1ab", (1, 1), []) == []
     with pytest.raises(DomainError):
-        ratio_scan("pi_1ab", 1, 1, [100, 100])
+        ratio_scan("pi_1ab", (1, 1), [100, 100])
     with pytest.raises(DomainError):
-        ratio_scan("pi_1ab", 1, 1, [10**9 + 1])
+        ratio_scan("pi_1ab", (1, 1), [10**9 + 1])
     with pytest.raises(DomainError):
-        ratio_scan("nonsense", 1, 1, [100])
+        ratio_scan("nonsense", (1, 1), [100])
 
 
 def test_ratio_scan_mirror_kind():
-    results = ratio_scan("D_1ab", 2, 2, [30, 100])
+    results = ratio_scan("D_1ab", (2, 2), [30, 100])
     assert [r.count for r in results] == [
         oracles.brute_D_1ab(30, 2, 2),
         oracles.brute_D_1ab(100, 2, 2),
@@ -255,11 +299,11 @@ def test_predictor_shapes():
     assert r1.predicted == pytest.approx(
         constant_C3(1e-6).value * x / math.log(x) ** 3, rel=1e-12
     )
-    c = count_chen_variants("pi_1r", x, r=2)
+    c = count_pi_1r(x, 2)
     assert c.predicted == pytest.approx(
         constant_C2(1e-6).value * x / math.log(x) ** 2, rel=1e-12
     )
-    d = count_chen_variants("D_sr", 10_000, s=2, r=3)
+    d = count_D_sr(10_000, 2, 3)
     assert d.predicted == pytest.approx(
         singular_series_CN(10_000) * 10_000 / math.log(10_000) ** 2 * math.log(math.log(10_000)) ** 2,
         rel=1e-12,
