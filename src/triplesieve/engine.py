@@ -73,6 +73,8 @@ def thread_count() -> int:
     env = os.environ.get("TRIPLESIEVE_THREADS", "").strip()
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

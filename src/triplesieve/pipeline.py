@@ -77,7 +77,9 @@ class BoundTerm:
 def _manifest_text(path: str | Path | None) -> str:
     if path is not None:
         return Path(path).read_text()
-    return resources.files("triplesieve.data").joinpath("bound_terms.json").read_text()
+    # data/ is not a package (no __init__.py), so reach it from the package
+    # root: a namespace package cannot be imported from a zipped install
+    return resources.files("triplesieve").joinpath("data/bound_terms.json").read_text()
 
 
 @lru_cache(maxsize=4)

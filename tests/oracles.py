@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's own numerical paths:
 trial division instead of sieves, a residual-division Omega sieve instead of
 the wheel and log-sum kernel, composite Simpson / midpoint cubature instead of
-the adaptive and tensor integrators, and a corrected-trapezoid chain recursion
-instead of the spline one.  Two helpers do call the package: ``mirrored_count``
+the adaptive and tensor integrators, and a chain recursion whose trapezoid
+correction takes analytic derivatives (from the recursion itself) instead of
+the package's differenced ones, on its own grid.  Two helpers do call the package: ``mirrored_count``
 takes Omega from ``sieve_omega`` but pairs n with N - n over one whole array,
 not over paired segments, and ``hit_positions`` reads the counted integers off
 the package's own checkpoint counts.
@@ -203,7 +204,7 @@ def midpoint_3d(lo1, hi1, lo2, hi2, lo3, hi3, kernel, n: int = 100) -> float:
 
 
 def chain_density_sum(h: float = 0.01) -> float:
-    """C0 = sum of c_k = A_{k-2}(199) over 15 <= k <= 199, with no spline.
+    """C0 = sum of c_k = A_{k-2}(199) over 15 <= k <= 199, without the package.
 
     A_1(v) = int_2^v log(t-1)/t dt and A_j(v) = int_{j+1}^v A_{j-1}(t-1)/t dt.
     Each level is a cumulative trapezoid on a uniform grid of step h (1/h an

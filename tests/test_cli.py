@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import triplesieve
 from triplesieve import constants
 from triplesieve.cli import main
 
@@ -137,7 +143,9 @@ def test_constants_default_set(capsys):
     assert code == 0
     assert [r["label"] for r in rows] == ["C2", "C3", "C0"]
     assert rows[0]["value"] == "1.32032387005627"  # 15 significant digits
-    assert rows[2]["value"] == "0.00388643967868121"
+    assert rows[2]["value"] == "0.00388643963860992"
+    # the cubic-spline chain gave 0.00388643967868121; C0 must stay within 1e-10
+    assert abs(float(rows[2]["value"]) - 0.00388643967868121) < 1e-10
     assert int(rows[1]["truncation_prime"]) >= 100_000
 
 
@@ -288,3 +296,41 @@ def test_out_file_bad_directory_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "i/o error" in err
+
+
+# ---------------------------------------------------------------------------
+# packaging: a zipped install and the import footprint
+# ---------------------------------------------------------------------------
+
+
+def _run_module(pythonpath, *argv):
+    env = {**os.environ, "PYTHONPATH": str(pythonpath), "TRIPLESIEVE_THREADS": "1"}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_verify_runs_from_a_zipped_package(tmp_path):
+    package = Path(triplesieve.__file__).parent
+    archive = tmp_path / "ts.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, Path("triplesieve") / path.relative_to(package))
+    zipped = _run_module(archive, "-m", "triplesieve", "verify", "--no-timestamp")
+    in_tree = _run_module(package.parent, "-m", "triplesieve", "verify", "--no-timestamp")
+    assert zipped.returncode == 0, zipped.stderr
+    assert in_tree.returncode == 0, in_tree.stderr
+    assert zipped.stdout == in_tree.stdout
+
+
+def test_no_scipy_is_loaded():
+    code = (
+        "import sys\n"
+        "import triplesieve\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'import'\n"
+        "from triplesieve import cli\n"
+        "assert cli.main(['count', 'pi_1ab', '1000', '1', '1']) == 0\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'count'\n"
+    )
+    done = _run_module(Path(triplesieve.__file__).parent.parent, "-c", code)
+    assert done.returncode == 0, done.stderr

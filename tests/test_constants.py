@@ -126,6 +126,12 @@ def test_C0_under_published_bound_and_above_first_term():
     assert c0 > chain_value(ChainFamily(), 15)
 
 
+def test_C0_matches_fine_oracle_to_1e12():
+    # S73 = 1.30911652 sits 2.3e-8 above its six-decimal rounding boundary and
+    # moves by ~337 per unit of C0, so its printed digit needs C0 this close
+    assert abs(constant_C0() - oracles.chain_density_sum(0.005)) < 1e-12
+
+
 def test_coefficient_E_bound_and_zero_mode():
     e = coefficient_E()
     assert 0 < e <= E_BOUND

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,18 @@ def test_thread_count_invariance(monkeypatch):
     assert thread_count() == 4
     assert count_pi_1ab(x, 2, 2).count == single
     assert count_D_sr(x, 2, 3).count == mirrored
+
+
+def test_thread_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("TRIPLESIEVE_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert thread_count() == 1
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "3")
+    assert thread_count() == 3  # the variable still overrides
+    monkeypatch.delenv("TRIPLESIEVE_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == 64  # platforms without affinity masks
 
 
 def test_domain_errors():
