@@ -16,9 +16,13 @@ All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
 prime exactly when Omega == 1, so the triple count of primes p <= x with
 Omega(p+2) <= a and Omega(p+6) <= b is three aligned slices of one segment.
-The mirrored kinds (N - p almost-prime) pair each segment [lo, hi) below N/2
-with its mirror [N - hi + 1, N - lo + 1), so memory stays bounded by the
-segment size, not by N.
+The four prime-headed kinds read only odd n (past p = 2, checked on its own),
+so their segments hold one word per odd n (the kernel's step 2): half the
+work for the same range.  D_sr, whose head is any n, and sieve_omega keep one
+word per integer.  SEGMENT_SIZE counts words.  The mirrored kinds (N - p
+almost-prime) pair each segment [lo, hi) below N/2 with its mirror
+[N - hi + 1, N - lo + 1), so memory stays bounded by the segment size, not
+by N.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-SEGMENT_SIZE = 1 << 20  # streaming segments, read at each count: fastest measured near 1e8, 1e10
+SEGMENT_SIZE = 1 << 19  # words per streaming segment, read at each count; fastest near 1e8, 1e10
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
 
@@ -91,14 +95,18 @@ def _log_words(p: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _wheel() -> np.ndarray:
-    """Words of the wheel's prime powers for one period, n = 0 .. 360359."""
-    wheel = np.zeros(_WHEEL_PERIOD, dtype=np.int32)
-    for p, word in zip(_WHEEL_PRIMES, _log_words(np.array(_WHEEL_PRIMES)).tolist()):
-        q = p
-        while _WHEEL_PERIOD % q == 0:
-            wheel[::q] += word
-            q *= p
+def _wheel(step: int = 1) -> np.ndarray:
+    """Words of the wheel's prime powers for one period, n = 0 .. 360359; with
+    step 2 only its odd n = 1, 3, .., 360359, a period of 180180 words."""
+    if step == 2:
+        wheel = _wheel()[1::2].copy()
+    else:
+        wheel = np.zeros(_WHEEL_PERIOD, dtype=np.int32)
+        for p, word in zip(_WHEEL_PRIMES, _log_words(np.array(_WHEEL_PRIMES)).tolist()):
+            q = p
+            while _WHEEL_PERIOD % q == 0:
+                wheel[::q] += word
+                q *= p
     wheel.flags.writeable = False
     return wheel
 
@@ -120,34 +128,42 @@ def _prime_powers(hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return powers[live], words[live]
 
 
-def _omega_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+def _omega_block(lo: int, hi: int, base_primes: np.ndarray, step: int = 1) -> np.ndarray:
     """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1).
+
+    With step 2, lo is odd and only the odd n of [lo, hi) are sieved: index i
+    stands for n = lo + 2i.  The wheel is then its odd half, the powers of 2
+    are dropped, and an odd q strikes every q-th index from the i with
+    lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed as
+    half the first even offset (-lo) % q or (-lo) % q + q, which stays in int64.
 
     Every prime power of a prime p <= sqrt(hi - 1) is counted (the wheel's
     primes above sqrt(hi - 1) have no square below hi), so n = m * c with m
     the part found and c either 1 or one prime above sqrt(hi - 1).  The low
     field of n's word is S = 2**14 * (log m + e): Omega(m) < 34 below 2**34,
     so the rounding error |e| <= 33 * 2**-15 < 0.0011 and the word stays below
-    2**31, and log m < 24 keeps S below 2**20.  The range is cut into chunks
-    [a, b) with b <= 1.5 a, and c is taken to be prime exactly when
-    S < T = floor(2**14 (log a - 1/4)):
+    2**31, and log m < 24 keeps S below 2**20.  The indices are cut into chunks
+    whose n lie in [a, b) with b <= 1.5 a, and c is taken to be prime exactly
+    when S < T = floor(2**14 (log a - 1/4)):
     if c = 1, S / 2**14 >= log a - 0.0011 > log a - 1/4; if c >= 2,
     S / 2**14 <= log n - log 2 + 0.0011 < log a + 0.406 - 0.693 + 0.0011,
     which is below log a - 1/4 - 2**-14.  So the test is exact.
     """
-    n = hi - lo
+    n = (hi - lo + step - 1) // step  # words
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    wheel = _wheel()
+    wheel, period = _wheel(step), _WHEEL_PERIOD // step
     words = np.empty(n, dtype=np.int32)
-    pos, phase = 0, lo % _WHEEL_PERIOD
+    pos, phase = 0, (lo % _WHEEL_PERIOD) // step
     while pos < n:
-        take = min(_WHEEL_PERIOD - phase, n - pos)
+        take = min(period - phase, n - pos)
         words[pos : pos + take] = wheel[phase : phase + take]
         pos, phase = pos + take, 0
 
-    powers, adds = _prime_powers(hi, base_primes)
+    powers, adds = _prime_powers(hi, base_primes if step == 1 else base_primes[base_primes > 2])
     starts = (-lo) % powers
+    if step == 2:  # lo + starts is even when starts is odd; the next multiple is odd
+        starts = (starts + powers * (starts & 1)) >> 1
     many = powers * _SCATTER_HITS <= n
     for q, start, add in zip(powers[many].tolist(), starts[many].tolist(), adds[many].tolist()):
         words[start::q] += add
@@ -163,13 +179,12 @@ def _omega_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
     omega = (words >> _OMEGA_SHIFT).astype(np.uint8)
     log_sum = words & ((1 << _OMEGA_SHIFT) - 1)
-    a = lo
-    while a < hi:
-        b = min(hi, a + max(a // 2, 1))
-        omega[a - lo : b - lo] += log_sum[a - lo : b - lo] < math.floor(
-            (math.log(a) - 0.25) * _LOG_SCALE
-        )
-        a = b
+    i = 0
+    while i < n:
+        a = lo + step * i
+        j = min(n, i + max(a // (2 * step), 1))  # the chunk's n stay below 1.5 a
+        omega[i:j] += log_sum[i:j] < math.floor((math.log(a) - 0.25) * _LOG_SCALE)
+        i = j
     return omega
 
 
@@ -264,50 +279,66 @@ def _hits(om: np.ndarray, span: int, head: int, forward: tuple[tuple[int, int], 
 
 
 def _sieve_count(
-    marks: Sequence[int], head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
+    marks: Sequence[int],
+    head: int | None,
+    forward: tuple[tuple[int, int], ...],
+    mirror: int | None,
 ) -> np.ndarray:
-    """Per mark, the n in [2, mark] with Omega(n) <= head and Omega(n + off) <= bound
-    for each forward (off, bound); with a mirror bound, the one mark N counts the
-    n in [2, N - 2] that also have Omega(N - n) <= mirror.
+    """Per mark, the n in [2, mark] with Omega(n) <= head (None: n is prime) and
+    Omega(n + off) <= bound for each forward (off, bound); with a mirror bound, the
+    one mark N counts the n in [2, N - 2] that also have Omega(N - n) <= mirror.
 
-    Work units are segments [lo, hi) of SEGMENT_SIZE integers, each sieved with a
-    pad for the offsets.  Mirrored units walk only lo <= N/2: each also sieves
-    [N - hi + 1, N - lo + 1), which read backwards is Omega(N - n) for the unit's n,
-    and counts both the n and their partners N - n from the pair.  So memory is
-    O(segment) per thread for every kind.  Unit counts are added as integers, so
-    the result does not depend on scheduling or thread count.
+    Work units are segments of SEGMENT_SIZE words, each sieved with a pad for the
+    offsets.  A prime head past 2 is odd, and so are n + 2, n + 6 and N - n, so
+    those kinds sieve only odd n (step 2: index i is n = lo + 2i, the offsets 2
+    and 6 are index offsets 1 and 3) and check p = 2 on its own.  Mirrored units
+    walk only lo <= N/2: each also sieves [N - hi + 1, N - lo + 1), which read
+    backwards is Omega(N - n) for the unit's n, and counts both the n and their
+    partners N - n from the pair; the unit ends just past an n, so with step 2
+    both segments start on an odd n.  So memory is O(segment) per thread for
+    every kind.  Unit counts are added as integers, so the result does not
+    depend on scheduling or thread count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
     pad = max((off for off, _ in forward), default=0)
     base_primes = primes_up_to(math.isqrt(size + pad))
     marks = np.asarray(marks, dtype=np.int64)
+    step, head = (2, 1) if head is None else (1, head)
+    strided = tuple((off // step, bound) for off, bound in forward)
 
-    def work(seg: tuple[int, int]) -> np.ndarray:
-        lo, hi = seg
-        span = hi - lo
-        own = _omega_block(lo, hi + pad, base_primes)
-        mask = _hits(own, span, head, forward)
+    def work(unit: tuple[int, int]) -> np.ndarray:
+        lo, span = unit
+        hi = lo + step * (span - 1) + 1  # just past the unit's last n
+        own = _omega_block(lo, hi + pad, base_primes, step)
+        mask = _hits(own, span, head, strided)
         if mirror is None:
-            return np.searchsorted(lo + np.nonzero(mask)[0], marks, side="right")
-        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes)
+            return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
+        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step)
         mask &= partner[span - 1 :: -1] <= mirror
-        upper = _hits(partner, span, head, forward)
+        upper = _hits(partner, span, head, strided)
         upper &= own[span - 1 :: -1] <= mirror
-        if hi > limit:  # n = N/2 is its own partner: counted in the lower half only
+        if 2 * (hi - 1) == size:  # n = N/2 is its own partner: counted in the lower half only
             upper[0] = False
         return np.array([np.count_nonzero(mask) + np.count_nonzero(upper)])
 
-    segs = [(lo, min(lo + SEGMENT_SIZE, limit + 1)) for lo in range(2, limit + 1, SEGMENT_SIZE)]
-    workers = min(thread_count(), len(segs))
+    first = 2 if step == 1 else 3
+    units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
+             for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
+    workers = min(thread_count(), len(units))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, segs))
+            parts = list(pool.map(work, units))
     else:
-        parts = [work(s) for s in segs]
+        parts = [work(u) for u in units]
     counts = np.zeros(len(marks), dtype=np.int64)
     for part in parts:
         counts += part
+    if step == 2:  # the even prime
+        two = _hits(_omega_block(2, 3 + pad, base_primes), 1, head, forward)[0]
+        if mirror is not None:
+            two &= _omega_block(size - 2, size - 1, base_primes)[0] <= mirror
+        counts += two & (marks >= 2)
     return counts
 
 
@@ -327,7 +358,7 @@ def _results(kind: str, params: Sequence[int], sizes: list[int]) -> list[TripleC
             )
     if not sizes:
         return []
-    head = named[spec.head] if spec.head else 1
+    head = named[spec.head] if spec.head else None
     forward = tuple((off, named[name]) for off, name in spec.forward)
     if spec.mirror is None:
         counts = _sieve_count(sizes, head, forward, None)

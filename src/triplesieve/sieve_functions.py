@@ -18,7 +18,7 @@ only as a consistency oracle in the tests):
     f0(s) = log(s-1) + int_3^{s-1} 1/t int_2^{t-1} log(u-1)/u du dt
                                                                 4 <= s <= 6
     f0(s) = ... + int_2^{s-4} log(t-1)/t
-                  int_{t+2}^{s-2} log((u-1)/(t+1)) log(s/(u+2))/u du dt
+                  int_{t+2}^{s-2} log((u-1)/(t+1)) log((s-1)/(u+1))/u du dt
                                                                 6 <= s <= 8
 
 The Buchstab function w is 1/u on [1, 2] and continues through
@@ -103,7 +103,7 @@ def lower_f0(s: float, tol: float = 1e-9) -> float:
             ((2.0, s - 4.0), (lambda t: t + 2.0, s - 2.0)),
             lambda t, u: (
                 np.log(t - 1.0) / t
-                * np.log((u - 1.0) / (t + 1.0)) * np.log(s / (u + 2.0)) / u
+                * np.log((u - 1.0) / (t + 1.0)) * np.log((s - 1.0) / (u + 1.0)) / u
             ),
             tol,
         )

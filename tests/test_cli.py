@@ -127,6 +127,13 @@ def test_functions_spot_values(capsys):
     assert parse_csv(out)[0]["value"] == "0.564382"
 
 
+def test_functions_f0_third_piece(capsys):
+    # f0 on (6, 8] from the delay system f0'(s) = F0(s-1)/(s-1)
+    code, out, _ = run_cli(capsys, "functions", "f0", "--points", "7,8", "--no-timestamp")
+    assert code == 0
+    assert [row["value"] for row in parse_csv(out)] == ["1.965098", "2.245837"]
+
+
 def test_functions_out_of_domain_marks_row_and_exits_two(capsys):
     code, out, _ = run_cli(
         capsys, "functions", "F0", "--points", "2,7.5", "--no-timestamp"

@@ -64,13 +64,13 @@ def test_omega_random_windows_at_large_bases(base):
         assert seg.omega(int(n)) == oracles.omega_trial(int(n))
 
 
-def _assert_kernel_matches_oracle(lo, hi):
+def _assert_kernel_matches_oracle(lo, hi, step=1):
     base_primes = primes_up_to(math.isqrt(max(hi - 1, 2)))
-    got = _omega_block(lo, hi, base_primes)
-    want = oracles.omega_block_residual(lo, hi, base_primes)
-    assert got.dtype == np.uint8 and len(got) == hi - lo
+    got = _omega_block(lo, hi, base_primes, step)
+    want = oracles.omega_block_residual(lo, hi, base_primes)[::step]
+    assert got.dtype == np.uint8 and len(got) == len(want)
     mismatches = np.nonzero(got != want)[0]
-    assert mismatches.size == 0, f"first mismatch at n = {lo + int(mismatches[0])}"
+    assert mismatches.size == 0, f"first mismatch at n = {lo + step * int(mismatches[0])}"
 
 
 def test_kernel_matches_residual_oracle_below_1e6():
@@ -99,10 +99,29 @@ def test_kernel_matches_residual_oracle_on_tiny_ranges(lo, hi):
     _assert_kernel_matches_oracle(lo, hi)
 
 
-@pytest.mark.parametrize("size", [997, 4096, SEGMENT_SIZE])
+# 2 SEGMENT_SIZE: the integers that one odd-only segment of SEGMENT_SIZE words spans
+@pytest.mark.parametrize("size", [997, 4096, 2 * SEGMENT_SIZE])
 def test_kernel_matches_residual_oracle_per_segment_size(size):
     for lo in (2, 10**8 - size // 2):
         _assert_kernel_matches_oracle(lo, lo + size)
+
+
+# the odd-only layout of the prime-headed kinds: index i is n = lo + 2i, lo odd
+@pytest.mark.parametrize("lo, hi", [
+    *((k * 360360 - 5001, k * 360360 + 5001) for k in (1, 2, 277)),  # wheel seams k 360360 +- 1
+    (10**10 - 2**20 + 1, 10**10),
+    (2**33 - 499, 2**33 + 500),
+    (17**2 * 31**5 - 500, 17**2 * 31**5 + 500),
+    (3, 3), (3, 4), (3, 6), (99, 100),
+])
+def test_odd_kernel_matches_residual_oracle(lo, hi):
+    _assert_kernel_matches_oracle(lo, hi, step=2)
+
+
+@pytest.mark.parametrize("words", [7, 64, 1001, SEGMENT_SIZE])
+def test_odd_kernel_matches_residual_oracle_per_segment_size(words):
+    for lo in (3, 10**8 + 1 - 2 * words):  # the second window ends at 1e8
+        _assert_kernel_matches_oracle(lo, lo + 2 * words, step=2)
 
 
 def test_omega_segment_accessor_bounds():
@@ -153,9 +172,19 @@ def test_pi_counts_match_brute_force_grid():
 
 def test_pi_1r_small_sizes_match_brute_force():
     table = oracles.omega_table(52)
-    for r in (1, 2):
+    for r in (1, 2, 3):
         for x in range(51):
             assert count_pi_1r(x, r).count == len(oracles.brute_pi_1r(x, r, table)), (x, r)
+
+
+def test_pi_1ab_small_sizes_match_brute_force():
+    # p = 2 is checked outside the odd-only segments: Omega(4) = 2, Omega(8) = 3
+    table = oracles.omega_table(56)
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            for x in range(51):
+                want = len(oracles.brute_pi_1ab(x, a, b, table))
+                assert count_pi_1ab(x, a, b).count == want, (x, a, b)
 
 
 def test_mirrored_counts_match_brute_force():
@@ -166,10 +195,20 @@ def test_mirrored_counts_match_brute_force():
         assert count_D_sr(N, 2, 3).count == oracles.brute_D_sr(N, 2, 3)
 
 
+def test_mirrored_counts_reach_the_even_prime():
+    # p = 2 is checked outside the odd-only segments, on Omega(N - 2) and Omega(8) = 3
+    for N in range(8, 301, 2):
+        for a in (1, 2, 3):
+            assert count_D_1ab(N, a, 3).count == oracles.brute_D_1ab(N, a, 3), (N, a)
+    for N in range(4, 301, 2):
+        for r in (1, 2, 3):
+            assert count_D_1r(N, r).count == oracles.brute_D_1r(N, r), (N, r)
+
+
 def _mirror_edge_sizes(step):
-    """Even N whose N/2 is one before, on and one after 2 + 3 step, the fourth segment's start."""
-    edge = 2 + 3 * step
-    return [2 * (edge - 1), 2 * edge, 2 * (edge + 1)]
+    """Even N whose N/2 is one before, on and one after the fourth segment's start:
+    2 + 3 step for the full-width D_sr, 3 + 6 step for the odd-only kinds."""
+    return [2 * (edge + d) for edge in (2 + 3 * step, 3 + 6 * step) for d in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("step", [7, 64, 1001])
@@ -217,7 +256,7 @@ def test_count_monotonicity():
 def test_segmentation_invariance(monkeypatch):
     x, n = 30_000, 9998
     expected = (count_pi_1ab(x, 2, 3).count, count_D_1ab(n, 2, 2).count)
-    for size in (997, 1001, 4096, 2**14):
+    for size in (7, 64, 997, 1001, 4096, 2**14):
         monkeypatch.setattr(engine, "SEGMENT_SIZE", size)
         assert (count_pi_1ab(x, 2, 3).count, count_D_1ab(n, 2, 2).count) == expected
 
