@@ -138,8 +138,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checkpoint(token: str) -> int:
+    """One --checkpoints value: an integer, also in exponent form such as 1e6."""
+    try:
+        return int(token)
+    except ValueError:
+        value = float(token)  # not a number at all: a ValueError, so a usage error
+    if not value.is_integer():  # also rejects inf and nan
+        raise DomainError(f"checkpoints must be integers, got {token.strip()!r}")
+    return int(value)
+
+
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    checkpoints = [int(float(c)) for c in args.checkpoints.split(",") if c.strip()]
+    checkpoints = [_checkpoint(c) for c in args.checkpoints.split(",") if c.strip()]
     results = engine.ratio_scan(args.kind, args.params, checkpoints)
     text = _render("ratio", _COUNT_COLUMNS, [_count_row(r) for r in results],
                    args.format, not args.no_timestamp)

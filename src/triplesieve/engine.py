@@ -1,16 +1,18 @@
 """Segmented factor-counting sieve and the almost-prime pattern counters.
 
 Omega(n) (prime factors with multiplicity) is sieved segment by segment.  Each
-integer of a segment has one int32 word holding ``Omega << 20`` plus a
-fixed-point sum of ``round(log p * 2**14)`` over the prime powers found so far.
+integer of a segment has one uint16 word holding ``Omega << 10`` less a
+fixed-point log sum at scale 2**5 over the prime powers found so far; the
+powers of one prime add telescoped steps, so p^e adds ``round(32 e log p)``.
 A 360360-periodic wheel (2^3 3^2 5 7 11 13) is copied in first; then every
 other prime power q = p^k < hi of a prime p <= sqrt(hi - 1) adds its word to the
 multiples of q, by one strided add for the powers with many multiples per
 segment and by one vectorised scatter for the rest.  Whatever part of n the
 log sum misses is a single leftover prime, found by comparing the sum with
-log n.  Segments are independent work units distributed over a thread pool;
-every reduction is an integer sum, so results do not depend on scheduling or
-thread count (TRIPLESIEVE_THREADS overrides the pool size).
+log n: one add per chunk carries it into the Omega field.  Segments are
+independent work units distributed over a thread pool; every reduction is an
+integer sum, so results do not depend on scheduling or thread count
+(TRIPLESIEVE_THREADS overrides the pool size).
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -40,7 +42,11 @@ from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-SEGMENT_SIZE = 1 << 19  # words per streaming segment, read at each count; fastest near 1e8, 1e10
+# words per streaming segment, read at each count.  Swept over 2^19, 2^20 and 2^21
+# words on 2 threads (2 vCPUs, 2 MiB L2 each): 2^20 was fastest both for
+# count pi_1ab 100250000 (0.166 / 0.142 / 0.151 s) and near 1e10 (204 / 239 /
+# 220 Mword/s); CHANGES.md has the full sweep.
+SEGMENT_SIZE = 1 << 20
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
 
@@ -82,16 +88,20 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-_OMEGA_SHIFT = 20  # Omega above, the fixed-point log sum below
-_LOG_SCALE = 1 << 14
+_OMEGA_SHIFT = 10  # Omega << 10, less the fixed-point log sum
+_LOG_SCALE = 1 << 5
 _WHEEL_PERIOD = 360360  # 2^3 3^2 5 7 11 13
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _SCATTER_HITS = 256  # prime powers with fewer multiples per segment are scattered
 
 
-def _log_words(p: np.ndarray) -> np.ndarray:
-    """The word one factor p adds: 1 << 20 plus round(log p * 2**14)."""
-    return (1 << _OMEGA_SHIFT) + np.rint(np.log(p) * _LOG_SCALE).astype(np.int64)
+def _log_words(p: np.ndarray, k: int) -> np.ndarray:
+    """The word the k-th power of each p adds: 1 << 10 minus the step
+    round(32 k log p) - round(32 (k - 1) log p), so that p, p^2, .., p^e add
+    round(32 e log p) to the log sum in all."""
+    scaled = np.log(p) * _LOG_SCALE
+    step = np.rint(k * scaled) - np.rint((k - 1) * scaled)
+    return ((1 << _OMEGA_SHIFT) - step).astype(np.uint16)
 
 
 @functools.cache
@@ -101,34 +111,38 @@ def _wheel(step: int = 1) -> np.ndarray:
     if step == 2:
         wheel = _wheel()[1::2].copy()
     else:
-        wheel = np.zeros(_WHEEL_PERIOD, dtype=np.int32)
-        for p, word in zip(_WHEEL_PRIMES, _log_words(np.array(_WHEEL_PRIMES)).tolist()):
-            q = p
+        wheel = np.zeros(_WHEEL_PERIOD, dtype=np.uint16)
+        for p in _WHEEL_PRIMES:
+            q, k = p, 1
             while _WHEEL_PERIOD % q == 0:
-                wheel[::q] += word
-                q *= p
+                wheel[::q] += _log_words(np.array([p]), k)[0]
+                q, k = q * p, k + 1
     wheel.flags.writeable = False
     return wheel
 
 
-def _prime_powers(hi: int, base_primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prime_powers(hi: int, base_primes: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel does
-    not cover, with the word each adds."""
+    not cover, with the word each adds; at step 2 without the powers of 2."""
     primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+    primes = primes[primes > 2] if step == 2 else primes
     primes = primes.astype(np.int64)
-    powers, words = [primes], [_log_words(primes)]
+    powers, words = [primes], [_log_words(primes, 1)]
     q = primes
     while len(q):  # q * p < hi holds for a prefix, since the primes ascend
         p = primes[: len(q)]
         q = (q * p)[q <= (hi - 1) // p]
         powers.append(q)
-        words.append(words[0][: len(q)])
+        words.append(_log_words(p[: len(q)], len(powers)))
     powers, words = np.concatenate(powers), np.concatenate(words)
     live = _WHEEL_PERIOD % powers != 0
     return powers[live], words[live]
 
 
-def _omega_block(lo: int, hi: int, base_primes: np.ndarray, step: int = 1) -> np.ndarray:
+def _omega_block(
+    lo: int, hi: int, base_primes: np.ndarray, step: int = 1,
+    powers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1).
 
     With step 2, lo is odd and only the odd n of [lo, hi) are sieved: index i
@@ -136,56 +150,70 @@ def _omega_block(lo: int, hi: int, base_primes: np.ndarray, step: int = 1) -> np
     are dropped, and an odd q strikes every q-th index from the i with
     lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed as
     half the first even offset (-lo) % q or (-lo) % q + q, which stays in int64.
+    powers, if given, is _prime_powers(h, primes, step) for any h >= hi and
+    primes covering sqrt(h - 1), built once for many blocks.  Its extra powers
+    strike nothing below hi, or move a prime above sqrt(hi - 1) from c into m
+    below, which leaves c 1 or one prime as the proof needs.
 
-    Every prime power of a prime p <= sqrt(hi - 1) is counted (the wheel's
-    primes above sqrt(hi - 1) have no square below hi), so n = m * c with m
-    the part found and c either 1 or one prime above sqrt(hi - 1).  The low
-    field of n's word is S = 2**14 * (log m + e): Omega(m) < 34 below 2**34,
-    so the rounding error |e| <= 33 * 2**-15 < 0.0011 and the word stays below
-    2**31, and log m < 24 keeps S below 2**20.  The indices are cut into chunks
-    whose n lie in [a, b) with b <= 1.5 a, and c is taken to be prime exactly
-    when S < T = floor(2**14 (log a - 1/4)):
-    if c = 1, S / 2**14 >= log a - 0.0011 > log a - 1/4; if c >= 2,
-    S / 2**14 <= log n - log 2 + 0.0011 < log a + 0.406 - 0.693 + 0.0011,
-    which is below log a - 1/4 - 2**-14.  So the test is exact.
+    Each n has one uint16 word 1024 Omega(m) - S, for the part m of n found
+    so far and its log sum S at scale 32.  The k-th power of p adds
+    1024 - (round(32 k log p) - round(32 (k - 1) log p)), so p^e | m adds
+    round(32 e log p) to S in all: the rounding error is at most 1/64 per
+    distinct prime of m, not per factor.  Every prime power of a prime
+    p <= sqrt(hi - 1) is counted (the wheel's primes above sqrt(hi - 1) have
+    no square below hi), so n = m * c with c either 1 or one prime above
+    sqrt(hi - 1).  Below 1e10 + 7 < 2**34, n has at most ten distinct primes
+    (2 * 3 * .. * 31 > 2e11) and Omega(m) <= 33, so S / 32 = log m + e with
+    |e| <= 10/64 < 0.157 and S <= 32 log n + 5 < 743 < 1024.  Each add lies in
+    (0, 1024), so a word only grows, and it stays below
+    33 * 1024 + 1023 + 729 < 2**16 through the test below.  The indices are
+    cut into chunks whose n lie in [a, b) with b <= 1.25 a, and c is taken to
+    be prime exactly when S < T = floor(32 (log a - 1/4)):
+    if c = 1, S / 32 >= log a - 0.157 > log a - 1/4; if c >= 2,
+    S / 32 <= log n - log 2 + 0.157 < log a + 0.224 - 0.693 + 0.157, which is
+    below log a - 1/4 - 1/32.  So the test is exact.  Adding 1023 + T to a
+    word carries into its Omega field exactly when S < T (14 <= T < 729), and
+    the shift by 10 then leaves Omega(n).
     """
     n = (hi - lo + step - 1) // step  # words
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
     wheel, period = _wheel(step), _WHEEL_PERIOD // step
-    words = np.empty(n, dtype=np.int32)
+    words = np.empty(n, dtype=np.uint16)
     pos, phase = 0, (lo % _WHEEL_PERIOD) // step
     while pos < n:
         take = min(period - phase, n - pos)
         words[pos : pos + take] = wheel[phase : phase + take]
         pos, phase = pos + take, 0
 
-    powers, adds = _prime_powers(hi, base_primes if step == 1 else base_primes[base_primes > 2])
+    powers, adds = _prime_powers(hi, base_primes, step) if powers is None else powers
     starts = (-lo) % powers
     if step == 2:  # lo + starts is even when starts is odd; the next multiple is odd
         starts = (starts + powers * (starts & 1)) >> 1
     many = powers * _SCATTER_HITS <= n
-    for q, start, add in zip(powers[many].tolist(), starts[many].tolist(), adds[many].tolist()):
-        words[start::q] += add
+    for q, start, add in zip(powers[many].tolist(), starts[many].tolist(), adds[many]):
+        strike = words[start::q]
+        strike += add  # in place on the view, with a uint16 scalar: no copy back, no cast
     few = ~many & (starts < n)
     powers, starts, adds = powers[few], starts[few], adds[few]
     if len(powers):
-        # all multiples of the remaining powers at once; two powers may share one
+        # all multiples start + k q of the remaining powers at once, in int32
+        # (each k q < n); two powers may share one
         hits = (n - 1 - starts) // powers + 1
-        first = np.cumsum(hits) - hits
-        at = np.repeat(starts - first * powers, hits)
-        at += np.repeat(powers, hits) * np.arange(int(first[-1] + hits[-1]))
-        np.add.at(words, at, np.repeat(adds.astype(np.int32), hits))
+        at = np.arange(int(hits.sum()), dtype=np.int32)
+        at -= np.repeat((np.cumsum(hits) - hits).astype(np.int32), hits)
+        at *= np.repeat(np.minimum(powers, n).astype(np.int32), hits)
+        at += np.repeat(starts.astype(np.int32), hits)
+        np.add.at(words, at, np.repeat(adds, hits))
 
-    omega = (words >> _OMEGA_SHIFT).astype(np.uint8)
-    log_sum = words & ((1 << _OMEGA_SHIFT) - 1)
     i = 0
     while i < n:
         a = lo + step * i
-        j = min(n, i + max(a // (2 * step), 1))  # the chunk's n stay below 1.5 a
-        omega[i:j] += log_sum[i:j] < math.floor((math.log(a) - 0.25) * _LOG_SCALE)
+        j = min(n, i + max(a // (4 * step), 1))  # the chunk's n stay below 1.25 a
+        words[i:j] += (1 << _OMEGA_SHIFT) - 1 + math.floor((math.log(a) - 0.25) * _LOG_SCALE)
         i = j
-    return omega
+    omega = np.empty(n, dtype=np.uint8)
+    return np.right_shift(words, _OMEGA_SHIFT, out=omega, casting="unsafe")  # Omega(n) <= 34
 
 
 def sieve_omega(lo: int, hi: int) -> OmegaSegment:
@@ -306,15 +334,16 @@ def _sieve_count(
     marks = np.asarray(marks, dtype=np.int64)
     step, head = (2, 1) if head is None else (1, head)
     strided = tuple((off // step, bound) for off, bound in forward)
+    powers = _prime_powers(size + pad + 1, base_primes, step)  # once for every unit
 
     def work(unit: tuple[int, int]) -> np.ndarray:
         lo, span = unit
         hi = lo + step * (span - 1) + 1  # just past the unit's last n
-        own = _omega_block(lo, hi + pad, base_primes, step)
+        own = _omega_block(lo, hi + pad, base_primes, step, powers)
         mask = _hits(own, span, head, strided)
         if mirror is None:
             return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
-        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step)
+        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, powers)
         mask &= partner[span - 1 :: -1] <= mirror
         upper = _hits(partner, span, head, strided)
         upper &= own[span - 1 :: -1] <= mirror

@@ -104,6 +104,24 @@ def test_ratio_factor_budget_below_one_exits_one(capsys):
     assert "a must be >= 1" in err
 
 
+@pytest.mark.parametrize("token", ["inf", "nan", "100.7", "-inf"])
+def test_ratio_rejects_non_integral_checkpoints(capsys, token):
+    code, out, err = run_cli(capsys, "ratio", "pi_1ab", "1", "1", "--checkpoints", f"10,{token}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: checkpoints must be integers")
+    assert "Traceback" not in err
+
+
+def test_ratio_accepts_exponent_form_checkpoints(capsys):
+    code, out, _ = run_cli(
+        capsys, "ratio", "pi_1r", "1", "--checkpoints", "1000,1e6", "--no-timestamp"
+    )
+    assert code == 0
+    assert [(r["size"], r["count"]) for r in parse_csv(out)] == [
+        ("1000", "35"), ("1000000", "8169"),
+    ]
+
+
 def test_count_pi_1r_below_four(capsys):
     code, out, _ = run_cli(capsys, "count", "pi_1r", "3", "1", "--no-timestamp")
     assert code == 0

@@ -94,13 +94,43 @@ def test_kernel_matches_residual_oracle_at_log_extremes(lo, hi):
     _assert_kernel_matches_oracle(lo, hi)
 
 
+# the uint16 words at their limits, at both strides (each lo is odd): the most
+# distinct odd primes (3 5 .. 29) and the most distinct primes (2 3 .. 29),
+# which bound the log sum's rounding error; the odd and the even n below 1e10
+# whose log sum S falls furthest below 32 log n (S = 32 log n - 2.49 at
+# 3^3 7 11^2 59 71 83, and - 2.79 at 2^2 3^3 7 11^2 23 59 71); the largest Omega
+# of an odd n (3^20); and the seam 500001 between the leftover test's chunks
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("lo, hi", [
+    (3234846615 - 5000, 3234846615 + 5001),
+    (6469693230 - 4999, 6469693230 + 5001),
+    (7951254003 - 500, 7951254003 + 501),
+    (8813438172 - 501, 8813438172 + 501),
+    (3**20 - 5000, 3**20 + 5001),
+    (400_001, 505_001),
+])
+def test_kernel_matches_residual_oracle_at_word_limits(lo, hi, step):
+    _assert_kernel_matches_oracle(lo, hi, step)
+
+
+def test_kernel_takes_the_prime_powers_of_a_larger_bound():
+    # a count builds one table of prime powers, for its largest n, for every block
+    primes = primes_up_to(10**5)
+    for step in (1, 2):
+        powers = engine._prime_powers(10**10, primes, step)
+        for lo, hi in ((3, 1001), (999_999, 1_100_001), (10**10 - 2001, 10**10)):
+            want = oracles.omega_block_residual(lo, hi, primes_up_to(math.isqrt(hi - 1)))
+            got = _omega_block(lo, hi, primes, step, powers)
+            assert np.array_equal(got, want[::step]), (lo, step)
+
+
 @pytest.mark.parametrize("lo, hi", [(2, 2), (2, 3), (2, 4), (2, 50), (99, 100)])
 def test_kernel_matches_residual_oracle_on_tiny_ranges(lo, hi):
     _assert_kernel_matches_oracle(lo, hi)
 
 
-# 2 SEGMENT_SIZE: the integers that one odd-only segment of SEGMENT_SIZE words spans
-@pytest.mark.parametrize("size", [997, 4096, 2 * SEGMENT_SIZE])
+# SEGMENT_SIZE: one full-width segment (D_sr, sieve_omega) holds that many integers
+@pytest.mark.parametrize("size", [997, 4096, SEGMENT_SIZE])
 def test_kernel_matches_residual_oracle_per_segment_size(size):
     for lo in (2, 10**8 - size // 2):
         _assert_kernel_matches_oracle(lo, lo + size)
