@@ -138,15 +138,24 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint(token: str) -> int:
-    """One --checkpoints value: an integer, also in exponent form such as 1e6."""
+def integer(token: str) -> int:
+    """An integer argument, also in exponent form such as 1e6.  Any other token
+    (100.5, inf, nan, abc) raises ValueError: a usage error both as an argparse
+    type and under main."""
     try:
         return int(token)
     except ValueError:
-        value = float(token)  # not a number at all: a ValueError, so a usage error
+        value = float(token)  # not a number at all: a ValueError itself
     if not value.is_integer():  # also rejects inf and nan
-        raise DomainError(f"checkpoints must be integers, got {token.strip()!r}")
+        raise ValueError(f"expected an integer, got {token.strip()!r}")
     return int(value)
+
+
+def _checkpoint(token: str) -> int:
+    try:
+        return integer(token)
+    except ValueError:
+        raise DomainError(f"checkpoints must be integers, got {token.strip()!r}") from None
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
@@ -192,7 +201,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         elif name == "C0":
             row["value"] = f"{constants.constant_C0():.15g}"
         elif name.startswith("CN="):
-            n = int(name.partition("=")[2])
+            n = integer(name.partition("=")[2])
             row["label"] = f"CN={n}"
             row["value"] = f"{constants.singular_series_CN(n):.15g}"
         else:
@@ -229,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="one counting query")
     p.add_argument("kind", choices=sorted(engine.KINDS))
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=integer)
     p.add_argument("params", type=int, nargs="*")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_count)

@@ -10,9 +10,11 @@ multiples of q, by one strided add for the powers with many multiples per
 segment and by one vectorised scatter for the rest.  Whatever part of n the
 log sum misses is a single leftover prime, found by comparing the sum with
 log n: one add per chunk carries it into the Omega field.  Segments are
-independent work units distributed over a thread pool; every reduction is an
-integer sum, so results do not depend on scheduling or thread count
-(TRIPLESIEVE_THREADS overrides the pool size).
+independent work units shared out over forked worker processes (the kernel's
+many short NumPy calls hold the GIL, so threads barely overlap); each worker
+sends back an integer sum, so results do not depend on the worker count.
+TRIPLESIEVE_THREADS sizes the workers, and where os.fork is missing every
+count runs serially in the calling process.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -32,7 +34,9 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import traceback
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -80,6 +84,10 @@ class TripleCountResult:
 
 
 def thread_count() -> int:
+    """Sieve workers for a count, the calling process included: TRIPLESIEVE_THREADS
+    if set, else the CPUs this process may run on.  The others are forked
+    processes; a count uses no more workers than os.cpu_count() or its segments,
+    and only the caller where os.fork is missing."""
     env = os.environ.get("TRIPLESIEVE_THREADS", "").strip()
     if env:
         return max(1, int(env))
@@ -306,6 +314,87 @@ def _hits(om: np.ndarray, span: int, head: int, forward: tuple[tuple[int, int], 
     return mask
 
 
+def _unit_sum(work: Callable[[tuple[int, int]], np.ndarray], units: Sequence[tuple[int, int]],
+              length: int) -> np.ndarray:
+    """The sum of work(unit) over units, each an int64 array of that length."""
+    total = np.zeros(length, dtype=np.int64)
+    for unit in units:
+        total += work(unit)
+    return total
+
+
+def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
+                 units: Sequence[tuple[int, int]], length: int) -> tuple[int, int]:
+    """Fork a child that writes _unit_sum(work, units, length) to a pipe and
+    leaves by os._exit, 0 only after a complete write; its pid and the read end."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # NumPy's BLAS keeps idle threads from import, so Python 3.12+ warns at
+            # every fork.  The child runs only kernel array code on its own buffers,
+            # then writes its pipe and calls os._exit: no lock of another thread is
+            # taken.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:  # the child never returns into the caller's stack
+        status = 1
+        try:
+            os.close(read)
+            data = memoryview(_unit_sum(work, units, length)).cast("B")
+            while data:
+                data = data[os.write(write, data):]
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
+                units: Sequence[tuple[int, int]], workers: int, length: int) -> np.ndarray:
+    """_unit_sum over units on workers processes: worker k takes units[k::workers].
+
+    The caller forks workers - 1 children, runs units[0::workers] itself, then
+    reads every child's partial sum and reaps it.  A child that exits non-zero,
+    dies by a signal or sends short data raises RuntimeError; on any exception
+    the children left are killed and reaped.
+    """
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for k in range(1, workers):
+            pid, read = _fork_worker(work, units[k::workers], length)
+            children[pid] = read
+        total = _unit_sum(work, units[0::workers], length)
+        for pid, read in list(children.items()):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(read)
+            if status != 0 or len(data) != total.nbytes:
+                raise RuntimeError(
+                    f"sieve worker {pid} exited with status {status} "
+                    f"after sending {len(data)} of {total.nbytes} bytes"
+                )
+            total += np.frombuffer(data, dtype=np.int64)
+        return total
+    finally:
+        for pid, read in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
 def _sieve_count(
     marks: Sequence[int],
     head: int | None,
@@ -323,9 +412,9 @@ def _sieve_count(
     walk only lo <= N/2: each also sieves [N - hi + 1, N - lo + 1), which read
     backwards is Omega(N - n) for the unit's n, and counts both the n and their
     partners N - n from the pair; the unit ends just past an n, so with step 2
-    both segments start on an odd n.  So memory is O(segment) per thread for
+    both segments start on an odd n.  So memory is O(segment) per worker for
     every kind.  Unit counts are added as integers, so the result does not
-    depend on scheduling or thread count.
+    depend on the worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
@@ -354,15 +443,11 @@ def _sieve_count(
     first = 2 if step == 1 else 3
     units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
              for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
-    workers = min(thread_count(), len(units))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, units))
+    workers = min(thread_count(), len(units), os.cpu_count() or 1)
+    if workers > 1 and hasattr(os, "fork"):
+        counts = _forked_sum(work, units, workers, len(marks))
     else:
-        parts = [work(u) for u in units]
-    counts = np.zeros(len(marks), dtype=np.int64)
-    for part in parts:
-        counts += part
+        counts = _unit_sum(work, units, len(marks))
     if step == 2:  # the even prime
         two = _hits(_omega_block(2, 3 + pad, base_primes), 1, head, forward)[0]
         if mirror is not None:

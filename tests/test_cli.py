@@ -104,7 +104,7 @@ def test_ratio_factor_budget_below_one_exits_one(capsys):
     assert "a must be >= 1" in err
 
 
-@pytest.mark.parametrize("token", ["inf", "nan", "100.7", "-inf"])
+@pytest.mark.parametrize("token", ["inf", "nan", "100.7", "-inf", "abc"])
 def test_ratio_rejects_non_integral_checkpoints(capsys, token):
     code, out, err = run_cli(capsys, "ratio", "pi_1ab", "1", "1", "--checkpoints", f"10,{token}")
     assert code == 1 and out == ""
@@ -213,9 +213,28 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_non_integer_size_exits_one(capsys):
-    code, _, err = run_cli_exit(capsys, "count", "pi_1ab", "1e8", "1", "1")
-    assert code == 1
-    assert "invalid int value" in err and "usage" in err.lower()
+    for token in ("100.5", "inf", "nan", "abc"):
+        code, out, err = run_cli_exit(capsys, "count", "pi_1ab", token, "1", "1")
+        assert code == 1 and out == ""
+        assert f"error: argument size: invalid integer value: '{token}'" in err
+        assert "usage" in err.lower() and "Traceback" not in err
+
+
+def test_count_accepts_exponent_form_sizes(capsys):
+    _, plain, _ = run_cli(capsys, "count", "pi_1ab", "1000000", "1", "1", "--no-timestamp")
+    code, out, _ = run_cli(capsys, "count", "pi_1ab", "1e6", "1", "1", "--no-timestamp")
+    assert code == 0 and out == plain
+
+
+def test_constants_singular_series_takes_the_integer_parser(capsys):
+    _, plain, _ = run_cli(capsys, "constants", "CN=1000000", "--no-timestamp")
+    code, out, _ = run_cli(capsys, "constants", "CN=1e6", "--no-timestamp")
+    assert code == 0 and out == plain
+    for token in ("100.5", "inf", "nan", "abc"):
+        code, out, err = run_cli(capsys, "constants", f"CN={token}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"'{token}'" in err.splitlines()[0]
+        assert "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -1,6 +1,8 @@
 import math
 import os
+import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,17 +293,121 @@ def test_segmentation_invariance(monkeypatch):
         assert (count_pi_1ab(x, 2, 3).count, count_D_1ab(n, 2, 2).count) == expected
 
 
-def test_thread_count_invariance(monkeypatch):
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls of a test, counted by a wrapper."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _every_kind(x):
+    """Counts of all five kinds at x, and a forward scan that sends several marks."""
+    return (
+        count_pi_1ab(x, 2, 2).count, count_D_1ab(x, 2, 3).count, count_pi_1r(x, 2).count,
+        count_D_1r(x, 2).count, count_D_sr(x, 2, 3).count,
+        [r.count for r in ratio_scan("pi_1ab", (2, 2), [10, 1000, 32771, 65537, 150001, x])],
+    )
+
+
+def test_thread_count_invariance(monkeypatch, forks):
+    # 2^14-word segments: 4 units for the odd-only mirrored kinds, 7 for the others
     x = 200_000
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # three workers on any host
+    counts = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
+        assert thread_count() == workers
+        counts[workers] = _every_kind(x)
+        assert len(forks) == 6 * (workers - 1)  # six counts, workers - 1 children each
+        forks.clear()
+    monkeypatch.delattr(os, "fork")  # platforms without fork count serially
+    assert _every_kind(x) == counts[3] == counts[2] == counts[1]
+
+
+def test_forks_never_exceed_the_cpu_count(monkeypatch, forks):
+    # at most 7 units, so even a broken cap starts only a handful of processes
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "10000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
+    count_pi_1ab(200_000, 1, 1)
+    assert len(forks) == 1
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "failure", ["child raises", "child is killed", "child is killed at exit", "caller is interrupted"]
+)
+def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, failure):
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
+    # of the units at lo = 3, 3 + 2^15, .., the caller sieves the even-numbered ones
+    failing_lo = 3 if failure == "caller is interrupted" else 3 + 2**15
+    caller, kernel = os.getpid(), engine._omega_block
+
+    def failing(lo, *args):
+        if lo == failing_lo and failure != "child is killed at exit":
+            if failure == "child is killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise KeyboardInterrupt if failure == "caller is interrupted" else ValueError("injected")
+        return kernel(lo, *args)
+
+    def killed_at_exit(status):  # only the child leaves by os._exit, after its whole sum
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(engine, "_omega_block", failing)
+    if failure == "child is killed at exit":
+        monkeypatch.setattr(os, "_exit", killed_at_exit)
+    if failure == "caller is interrupted":
+        with pytest.raises(KeyboardInterrupt):
+            count_pi_1ab(200_000, 2, 2)
+    else:
+        status = 1 if failure == "child raises" else -signal.SIGKILL
+        sent = 8 if failure == "child is killed at exit" else 0
+        with pytest.raises(RuntimeError, match=f"exited with status {status} after sending {sent} "):
+            count_pi_1ab(200_000, 2, 2)
+    _no_child_left()
+
+
+_FORK_WARNING = ("This process (pid={}) is multi-threaded, use of fork() may lead to "
+                 "deadlocks in the child.")
+
+
+@pytest.mark.parametrize("message", [_FORK_WARNING, "another fork warning"], ids=["threaded", "other"])
+def test_only_the_threaded_fork_warning_is_ignored(monkeypatch, message):
+    # Python 3.12+ warns at every os.fork of a process with threads, as NumPy's are
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
-    assert thread_count() == 1
-    single = count_pi_1ab(x, 2, 2).count
-    mirrored = count_D_sr(x, 2, 3).count
-    monkeypatch.setenv("TRIPLESIEVE_THREADS", "4")
-    assert thread_count() == 4
-    assert count_pi_1ab(x, 2, 2).count == single
-    assert count_D_sr(x, 2, 3).count == mirrored
+    serial = count_pi_1ab(200_000, 2, 2).count
+    fork, calls = os.fork, []
+
+    def warning_fork():
+        calls.append(os.getpid())
+        warnings.warn(message.format(os.getpid()), DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
+    if message == _FORK_WARNING:
+        assert count_pi_1ab(200_000, 2, 2).count == serial
+    else:  # under filterwarnings = error any other warning still fails
+        with pytest.raises(DeprecationWarning, match=message):
+            count_pi_1ab(200_000, 2, 2)
+    assert len(calls) == 1
+    _no_child_left()
 
 
 def test_thread_count_follows_the_affinity_mask(monkeypatch):
