@@ -38,7 +38,7 @@ import signal
 import traceback
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -324,9 +324,9 @@ def _unit_sum(work: Callable[[tuple[int, int]], np.ndarray], units: Sequence[tup
 
 
 def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
-                 units: Sequence[tuple[int, int]], length: int) -> tuple[int, int]:
+                 units: Sequence[tuple[int, int]], length: int) -> tuple[int, BinaryIO]:
     """Fork a child that writes _unit_sum(work, units, length) to a pipe and
-    leaves by os._exit, 0 only after a complete write; its pid and the read end."""
+    leaves by os._exit, 0 only after a complete write; its pid and the pipe."""
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -355,7 +355,7 @@ def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
         finally:
             os._exit(status)
     os.close(write)
-    return pid, read
+    return pid, open(read, "rb")
 
 
 def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
@@ -367,20 +367,17 @@ def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
     dies by a signal or sends short data raises RuntimeError; on any exception
     the children left are killed and reaped.
     """
-    children: dict[int, int] = {}  # pid -> read end of its pipe
+    children: dict[int, BinaryIO] = {}  # pid -> its pipe
     try:
         for k in range(1, workers):
-            pid, read = _fork_worker(work, units[k::workers], length)
-            children[pid] = read
+            pid, pipe = _fork_worker(work, units[k::workers], length)
+            children[pid] = pipe
         total = _unit_sum(work, units[0::workers], length)
-        for pid, read in list(children.items()):
-            chunks = []
-            while chunk := os.read(read, 1 << 16):
-                chunks.append(chunk)
-            data = b"".join(chunks)
+        for pid, pipe in list(children.items()):
+            data = pipe.read()  # to the end: the child has exited or closed its end
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            os.close(read)
+            pipe.close()
             if status != 0 or len(data) != total.nbytes:
                 raise RuntimeError(
                     f"sieve worker {pid} exited with status {status} "
@@ -389,10 +386,10 @@ def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
             total += np.frombuffer(data, dtype=np.int64)
         return total
     finally:
-        for pid, read in children.items():
+        for pid, pipe in children.items():
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(read)
 
 
 def _sieve_count(
