@@ -19,15 +19,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import tempfile
 from datetime import datetime, timezone
 
-from . import constants, engine, pipeline
+# pipeline and sieve_functions (and json) are imported by the commands that use
+# them, so that count and ratio load only the engine
+from . import constants, engine
 from .errors import CapacityError, DomainError, EvaluationError
-from .sieve_functions import buchstab_w, lower_f0, upper_F0
 
 SCHEMA = 1
 
@@ -39,6 +39,8 @@ def _fmt(value: float) -> str:
 def _render(command: str, columns: list[str], rows: list[dict[str, str]],
             fmt: str, timestamp: bool) -> str:
     if fmt == "json":
+        import json
+
         doc: dict = {"schema": SCHEMA, "command": command}
         if timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat()
@@ -80,6 +82,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_tolerances(items: list[str]) -> tuple[float | None, dict[str, float]]:
+    from . import pipeline
+
     default = None
     overrides: dict[str, float] = {}
     known = set(pipeline.report_labels())
@@ -95,6 +99,8 @@ def _parse_tolerances(items: list[str]) -> tuple[float | None, dict[str, float]]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     default_tol, overrides = _parse_tolerances(args.tolerance)
     checks = pipeline.verification_report(
         tolerance=0.01 if default_tol is None else default_tol,
@@ -168,6 +174,8 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_functions(args: argparse.Namespace) -> int:
+    from .sieve_functions import buchstab_w, lower_f0, upper_F0
+
     evaluators = {"F0": upper_F0, "f0": lower_f0, "w": buchstab_w}
     fn = evaluators[args.which]
     rows = []

@@ -21,21 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
-from .quadrature import (
-    CHAIN_K_MAX,
-    CHAIN_K_MIN,
-    ChainFamily,
-    chain_value,
-    fourfold_with_buchstab,
-    integrate_nested,
-    named_integral_value,
-)
-from .sieve_functions import buchstab_w_many
+
+if TYPE_CHECKING:
+    from .quadrature import ChainFamily
+
+# quadrature and sieve_functions are imported inside C0, E and L: the counting
+# engine needs only the Euler products and C(N)
 
 MIN_TRUNCATION_PRIME = 100_000
 MIN_TOLERANCE = 1e-8
@@ -130,8 +127,12 @@ def singular_series_CN(N: int, tol: float = 1e-6) -> float:
 
 
 @lru_cache(maxsize=4)
-def constant_C0(family: ChainFamily = ChainFamily()) -> float:
-    """Sum of the chain densities c_k over 15 <= k <= 199 (bounded by 0.00408)."""
+def constant_C0(family: ChainFamily | None = None) -> float:
+    """Sum of the chain densities c_k over 15 <= k <= 199 (bounded by 0.00408);
+    the family defaults to ChainFamily()."""
+    from .quadrature import CHAIN_K_MAX, CHAIN_K_MIN, ChainFamily, chain_value
+
+    family = ChainFamily() if family is None else family
     return sum(chain_value(family, k) for k in range(CHAIN_K_MIN, CHAIN_K_MAX + 1))
 
 
@@ -144,6 +145,8 @@ def coefficient_E(w_bound: float = W_TAIL_BOUND_FROM_4) -> float:
     the display has the Buchstab-bearing variables already integrated out, so
     the bound constant is exposed as the replaceable factor.
     """
+    from .quadrature import named_integral_value
+
     return w_bound * named_integral_value("E")
 
 
@@ -155,6 +158,9 @@ def coefficient_L(w_mode: str = "bound", w_bound: float = W_TAIL_BOUND_FROM_3) -
     argument always exceeds 3 on the domain, so the tail bound applies);
     'exact' integrates the tabulated w itself, for comparison.
     """
+    from .quadrature import fourfold_with_buchstab, integrate_nested
+    from .sieve_functions import buchstab_w_many
+
     if w_mode == "bound":
         spec = fourfold_with_buchstab(lambda u: np.full_like(u, w_bound))
     elif w_mode == "exact":

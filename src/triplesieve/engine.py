@@ -14,7 +14,10 @@ independent work units shared out over forked worker processes (the kernel's
 many short NumPy calls hold the GIL, so threads barely overlap); each worker
 sends back an integer sum, so results do not depend on the worker count.
 TRIPLESIEVE_THREADS sizes the workers, and where os.fork is missing every
-count runs serially in the calling process.
+count runs serially in the calling process.  A count builds its prime powers
+and the scatter's plan once (_Plan) and sieves every segment in one set of
+buffers sized by its largest segment, so a segment allocates nothing of its
+own size: each worker faults its buffers in once, not once per segment.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -26,7 +29,13 @@ work for the same range.  D_sr, whose head is any n, and sieve_omega keep one
 word per integer.  SEGMENT_SIZE counts words.  The mirrored kinds (N - p
 almost-prime) pair each segment [lo, hi) below N/2 with its mirror
 [N - hi + 1, N - lo + 1), so memory stays bounded by the segment size, not
-by N.
+by N.  The mirror's Omega values are written reversed, so every mask of a
+pair reads its arrays forwards (a negative-stride compare of 2^20 bytes runs
+~13x slower).
+
+This module imports numpy and the Euler products of constants, but not the
+quadrature, the sieve curves or the pipeline; ``import triplesieve`` itself
+loads none of them until a public name is used.
 """
 
 from __future__ import annotations
@@ -90,7 +99,10 @@ def thread_count() -> int:
     and only the caller where os.fork is missing."""
     env = os.environ.get("TRIPLESIEVE_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"TRIPLESIEVE_THREADS must be an integer, got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -100,7 +112,12 @@ _OMEGA_SHIFT = 10  # Omega << 10, less the fixed-point log sum
 _LOG_SCALE = 1 << 5
 _WHEEL_PERIOD = 360360  # 2^3 3^2 5 7 11 13
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
-_SCATTER_HITS = 256  # prime powers with fewer multiples per segment are scattered
+# prime powers with fewer multiples per block are scattered.  On 2^20-word
+# blocks near 1e8, 1e9 and 1e10 (2 vCPUs) 128 and 256 run within noise of each
+# other (2.58 / 3.04 / 3.69 ms against 2.64 / 3.14 / 3.86 for odd blocks), and
+# 128 holds a count's scatter plan to 0.26 / 1.46 / 2.60 MiB, not 1.06 / 2.27 /
+# 3.41; 96 and 64 were no faster.
+_SCATTER_HITS = 128
 
 
 def _log_words(p: np.ndarray, k: int) -> np.ndarray:
@@ -147,9 +164,44 @@ def _prime_powers(hi: int, base_primes: np.ndarray, step: int) -> tuple[np.ndarr
     return powers[live], words[live]
 
 
+class _Plan:
+    """The prime powers of a count laid out for blocks of at most `words` words,
+    with the buffers such a block is sieved in; built once per count.
+
+    A power with at least _SCATTER_HITS multiples in `words` indices is struck by
+    one strided add.  Every other power owns a run of entries, one per multiple
+    it can have among `words` indices: adds holds the run's word, steps its q.
+    A block writes each run's first index, less the previous run's last one, to
+    the run's head (heads), and a cumulative sum in place then gives every index
+    (np.take would need the run numbers as intp, a temporary of 8 bytes per
+    entry).  Indices past the block's end are clamped to its slack word n.
+    block (words + 1 uint16 words, slack included) and at are overwritten by
+    every block, so one plan serves one process at a time: forked workers each
+    write their own copy.
+    """
+
+    def __init__(self, powers: tuple[np.ndarray, np.ndarray], words: int):
+        q, adds = powers
+        many = q * _SCATTER_HITS <= words
+        self.words = words
+        self.powers = np.concatenate([q[many], q[~many]])  # strided first
+        self.strided = list(zip(q[many].tolist(), adds[many]))
+        q = q[~many]
+        hits = (words - 1) // q + 1  # each q has at most this many multiples in `words`
+        self.heads = np.cumsum(hits) - hits
+        self.spans = (hits - 1) * q  # from a run's first index to its last
+        # int32 throughout: indices stay below 2 words; the q above words sit only
+        # at heads, which every block overwrites
+        self.steps = np.repeat(np.minimum(q, words).astype(np.int32), hits)
+        self.adds = np.repeat(adds[~many], hits)
+        self.at = np.empty(len(self.steps), dtype=np.int32)
+        self.block = np.empty(words + 1, dtype=np.uint16)
+
+
 def _omega_block(
     lo: int, hi: int, base_primes: np.ndarray, step: int = 1,
-    powers: tuple[np.ndarray, np.ndarray] | None = None,
+    powers: tuple[np.ndarray, np.ndarray] | _Plan | None = None,
+    *, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1).
 
@@ -159,9 +211,12 @@ def _omega_block(
     lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed as
     half the first even offset (-lo) % q or (-lo) % q + q, which stays in int64.
     powers, if given, is _prime_powers(h, primes, step) for any h >= hi and
-    primes covering sqrt(h - 1), built once for many blocks.  Its extra powers
-    strike nothing below hi, or move a prime above sqrt(hi - 1) from c into m
-    below, which leaves c 1 or one prime as the proof needs.
+    primes covering sqrt(h - 1), built once for many blocks, or a _Plan of them
+    for blocks of at least this one's length, whose buffers the block is then
+    sieved in.  Its extra powers strike nothing below hi, or move a prime above
+    sqrt(hi - 1) from c into m below, which leaves c 1 or one prime as the
+    proof needs.  out, if given, receives the result: a uint8 array, or view
+    (a reversed one, say), of one element per word.
 
     Each n has one uint16 word 1024 Omega(m) - S, for the part m of n found
     so far and its log sum S at scale 32.  The k-th power of p adds
@@ -184,35 +239,37 @@ def _omega_block(
     the shift by 10 then leaves Omega(n).
     """
     n = (hi - lo + step - 1) // step  # words
+    out = np.empty(n, dtype=np.uint8) if out is None else out
     if n == 0:
-        return np.zeros(0, dtype=np.uint8)
+        return out
+    plan = powers if isinstance(powers, _Plan) else _Plan(
+        _prime_powers(hi, base_primes, step) if powers is None else powers, n)
+    if n > plan.words:
+        raise ValueError(f"a block of {n} words needs a plan for at least {n}, not {plan.words}")
+    words = plan.block[: n + 1]  # words[n] is the slack word
     wheel, period = _wheel(step), _WHEEL_PERIOD // step
-    words = np.empty(n, dtype=np.uint16)
     pos, phase = 0, (lo % _WHEEL_PERIOD) // step
     while pos < n:
         take = min(period - phase, n - pos)
         words[pos : pos + take] = wheel[phase : phase + take]
         pos, phase = pos + take, 0
 
-    powers, adds = _prime_powers(hi, base_primes, step) if powers is None else powers
-    starts = (-lo) % powers
+    starts = (-lo) % plan.powers
     if step == 2:  # lo + starts is even when starts is odd; the next multiple is odd
-        starts = (starts + powers * (starts & 1)) >> 1
-    many = powers * _SCATTER_HITS <= n
-    for q, start, add in zip(powers[many].tolist(), starts[many].tolist(), adds[many]):
+        starts = (starts + plan.powers * (starts & 1)) >> 1
+    for (q, add), start in zip(plan.strided, starts[: len(plan.strided)].tolist()):
         strike = words[start::q]
         strike += add  # in place on the view, with a uint16 scalar: no copy back, no cast
-    few = ~many & (starts < n)
-    powers, starts, adds = powers[few], starts[few], adds[few]
-    if len(powers):
-        # all multiples start + k q of the remaining powers at once, in int32
-        # (each k q < n); two powers may share one
-        hits = (n - 1 - starts) // powers + 1
-        at = np.arange(int(hits.sum()), dtype=np.int32)
-        at -= np.repeat((np.cumsum(hits) - hits).astype(np.int32), hits)
-        at *= np.repeat(np.minimum(powers, n).astype(np.int32), hits)
-        at += np.repeat(starts.astype(np.int32), hits)
-        np.add.at(words, at, np.repeat(adds, hits))
+    if len(plan.at):
+        # every multiple first + k q of the scattered powers, in int32
+        first = np.minimum(starts[len(plan.strided) :], n)
+        at = plan.at
+        at[:] = plan.steps
+        at[plan.heads[1:]] = first[1:] - (first[:-1] + plan.spans[:-1])
+        at[0] = first[0]
+        np.cumsum(at, dtype=np.int32, out=at)
+        np.minimum(at, n, out=at)
+        np.add.at(words, at, plan.adds)  # two powers may share a multiple
 
     i = 0
     while i < n:
@@ -220,8 +277,7 @@ def _omega_block(
         j = min(n, i + max(a // (4 * step), 1))  # the chunk's n stay below 1.25 a
         words[i:j] += (1 << _OMEGA_SHIFT) - 1 + math.floor((math.log(a) - 0.25) * _LOG_SCALE)
         i = j
-    omega = np.empty(n, dtype=np.uint8)
-    return np.right_shift(words, _OMEGA_SHIFT, out=omega, casting="unsafe")  # Omega(n) <= 34
+    return np.right_shift(words[:n], _OMEGA_SHIFT, out=out, casting="unsafe")  # Omega(n) <= 34
 
 
 def sieve_omega(lo: int, hi: int) -> OmegaSegment:
@@ -306,11 +362,14 @@ def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _hits(om: np.ndarray, span: int, head: int, forward: tuple[tuple[int, int], ...]):
-    """Mask of om's first span integers n with Omega(n) <= head and the forward bounds."""
-    mask = om[:span] <= head
-    for off, bound in forward:
-        mask &= om[off : off + span] <= bound
+def _hits(mask: np.ndarray, tmp: np.ndarray, om: np.ndarray, at: int, head: int,
+          offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """mask[i] = om[at + i] <= head and om[at + i + off] <= bound for each
+    (off, bound), over len(mask) indices, written in place with tmp as scratch."""
+    span = len(mask)
+    np.less_equal(om[at : at + span], head, out=mask)
+    for off, bound in offsets:
+        mask &= np.less_equal(om[at + off : at + off + span], bound, out=tmp)
     return mask
 
 
@@ -406,12 +465,14 @@ def _sieve_count(
     offsets.  A prime head past 2 is odd, and so are n + 2, n + 6 and N - n, so
     those kinds sieve only odd n (step 2: index i is n = lo + 2i, the offsets 2
     and 6 are index offsets 1 and 3) and check p = 2 on its own.  Mirrored units
-    walk only lo <= N/2: each also sieves [N - hi + 1, N - lo + 1), which read
-    backwards is Omega(N - n) for the unit's n, and counts both the n and their
-    partners N - n from the pair; the unit ends just past an n, so with step 2
-    both segments start on an odd n.  So memory is O(segment) per worker for
-    every kind.  Unit counts are added as integers, so the result does not
-    depend on the worker count.
+    walk only lo <= N/2: each also sieves [N - hi + 1, N - lo + 1) into a
+    reversed buffer, which read forwards from the pad on is Omega(N - n) for the
+    unit's n, and counts both the n and their partners N - n from the pair; the
+    unit ends just past an n, so with step 2 both segments start on an odd n.
+    A count builds one _Plan and one set of buffers, sized by its longest unit,
+    so memory is O(segment) per worker for every kind and a unit allocates
+    nothing of that size.  Unit counts are added as integers, so the result does
+    not depend on the worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
@@ -420,35 +481,54 @@ def _sieve_count(
     marks = np.asarray(marks, dtype=np.int64)
     step, head = (2, 1) if head is None else (1, head)
     strided = tuple((off // step, bound) for off, bound in forward)
-    powers = _prime_powers(size + pad + 1, base_primes, step)  # once for every unit
+    padw = pad // step  # words past a unit's span: its block has span + padw words
+    first = 2 if step == 1 else 3
+    units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
+             for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
+    # one plan and one set of buffers serve every unit; only the workers write
+    # them, after any fork, so each worker faults its own copy in once
+    width = max((span for _, span in units), default=0) + padw
+    plan = _Plan(_prime_powers(size + pad + 1, base_primes, step), width)
+    own = np.empty(width, dtype=np.uint8)
+    rev = np.empty(width, dtype=np.uint8) if mirror is not None else None
+    # the masks live in the plan's word buffer, so they start only once every
+    # block of a unit is sieved: 2 (width + 1) bytes hold two spans
+    masks = plan.block.view(np.bool_)
 
     def work(unit: tuple[int, int]) -> np.ndarray:
         lo, span = unit
         hi = lo + step * (span - 1) + 1  # just past the unit's last n
-        own = _omega_block(lo, hi + pad, base_primes, step, powers)
-        mask = _hits(own, span, head, strided)
+        n = span + padw
+        lower = _omega_block(lo, hi + pad, base_primes, step, plan, out=own[:n])
         if mirror is None:
-            return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
-        partner = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, powers)
-        mask &= partner[span - 1 :: -1] <= mirror
-        upper = _hits(partner, span, head, strided)
-        upper &= own[span - 1 :: -1] <= mirror
+            mask = _hits(masks[:span], masks[span : 2 * span], lower, 0, head, strided)
+            if np.any((marks >= lo) & (marks < hi - 1)):  # a mark inside the unit
+                return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
+            return np.where(marks >= hi - 1, np.count_nonzero(mask), 0)
+        # upper[k] is Omega(N - lo - step (k - padw)): upper[padw + i] pairs with lower[i]
+        upper = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, plan,
+                             out=rev[:n][::-1])[::-1]
+        mask, tmp = masks[:span], masks[span : 2 * span]
+        _hits(mask, tmp, lower, 0, head, strided)
+        mask &= np.less_equal(upper[padw : padw + span], mirror, out=tmp)
+        count = np.count_nonzero(mask)
+        # the partners N - n: their offsets n + off are N - n - off, padw - off words back
+        _hits(mask, tmp, upper, padw, head, tuple((-off, bound) for off, bound in strided))
+        mask &= np.less_equal(lower[:span], mirror, out=tmp)
         if 2 * (hi - 1) == size:  # n = N/2 is its own partner: counted in the lower half only
-            upper[0] = False
-        return np.array([np.count_nonzero(mask) + np.count_nonzero(upper)])
+            mask[-1] = False
+        return np.array([count + np.count_nonzero(mask)])
 
-    first = 2 if step == 1 else 3
-    units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
-             for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
     workers = min(thread_count(), len(units), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
         counts = _forked_sum(work, units, workers, len(marks))
     else:
         counts = _unit_sum(work, units, len(marks))
     if step == 2:  # the even prime
-        two = _hits(_omega_block(2, 3 + pad, base_primes), 1, head, forward)[0]
+        om = _omega_block(2, 3 + pad, base_primes)
+        two = om[0] <= head and all(om[off] <= bound for off, bound in forward)
         if mirror is not None:
-            two &= _omega_block(size - 2, size - 1, base_primes)[0] <= mirror
+            two = two and _omega_block(size - 2, size - 1, base_primes)[0] <= mirror
         counts += two & (marks >= 2)
     return counts
 

@@ -220,6 +220,14 @@ def test_non_integer_size_exits_one(capsys):
         assert "usage" in err.lower() and "Traceback" not in err
 
 
+def test_non_integer_thread_count_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "abc")
+    code, out, err = run_cli(capsys, "count", "pi_1ab", "1000", "1", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: TRIPLESIEVE_THREADS must be an integer, got 'abc'\n")
+    assert "Traceback" not in err
+
+
 def test_count_accepts_exponent_form_sizes(capsys):
     _, plain, _ = run_cli(capsys, "count", "pi_1ab", "1000000", "1", "1", "--no-timestamp")
     code, out, _ = run_cli(capsys, "count", "pi_1ab", "1e6", "1", "1", "--no-timestamp")
@@ -343,7 +351,7 @@ def test_out_file_bad_directory_exits_one(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# packaging: a zipped install and the import footprint
+# packaging: a zipped install, the import footprint and page faults
 # ---------------------------------------------------------------------------
 
 
@@ -378,3 +386,82 @@ def test_no_scipy_is_loaded():
     )
     done = _run_module(Path(triplesieve.__file__).parent.parent, "-c", code)
     assert done.returncode == 0, done.stderr
+
+
+def _loaded_after(code):
+    """The triplesieve and numpy modules loaded by code run in a fresh interpreter."""
+    code += (
+        "\nimport sys\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.split('.')[0] in ('numpy', 'triplesieve'))))\n"
+    )
+    done = _run_module(Path(triplesieve.__file__).parent.parent, "-c", code)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    assert _loaded_after("import triplesieve") == {"triplesieve"}
+
+
+def test_count_loads_only_the_engine():
+    loaded = _loaded_after(
+        "import runpy, sys\n"
+        "sys.argv = ['triplesieve', 'count', 'pi_1ab', '1000', '1', '1']\n"
+        "try:\n"
+        "    runpy.run_module('triplesieve', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0, done.code\n"
+    )
+    assert {"numpy", "triplesieve.cli", "triplesieve.engine"} <= loaded
+    assert not loaded & {"triplesieve.pipeline", "triplesieve.quadrature",
+                         "triplesieve.sieve_functions"}
+
+
+def test_every_public_name_resolves_and_is_listed():
+    code = (
+        "import triplesieve\n"
+        "names = triplesieve.__all__\n"
+        "assert not [n for n in names if n not in dir(triplesieve)], 'dir'\n"
+        "for name in names:\n"
+        "    assert getattr(triplesieve, name).__name__ == name, name\n"
+    )
+    loaded = _loaded_after(code)
+    assert {"triplesieve.pipeline", "triplesieve.sieve_functions"} <= loaded
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    code = (
+        "import triplesieve\n"
+        "try:\n"
+        "    triplesieve.count_pi_2ab\n"
+        "except AttributeError as exc:\n"
+        "    assert \"has no attribute 'count_pi_2ab'\" in str(exc), exc\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert not hasattr(triplesieve, 'count_pi_2ab')\n"
+    )
+    assert _loaded_after(code) == {"triplesieve"}
+
+
+def _minor_faults(*argv):
+    """Minor page faults of one cold CLI run on one sieve worker, from os.wait4."""
+    env = {**os.environ, "PYTHONPATH": str(Path(triplesieve.__file__).parent.parent),
+           "TRIPLESIEVE_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "triplesieve", *argv],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, proc.stderr.read()
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "wait4"),
+                    reason="counts minor faults through os.wait4 on Linux")
+def test_a_large_count_faults_its_buffers_in_once():
+    # 48 blocks of 2^20 words; a unit that allocated its arrays afresh took
+    # ~29k more faults than the small count, one set of buffers ~1.3k
+    small = _minor_faults("count", "D_1ab", "1000", "2", "2")
+    large = _minor_faults("count", "D_1ab", "100250000", "2", "2")
+    assert large - small < 4096, (small, large)

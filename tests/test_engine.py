@@ -357,12 +357,12 @@ def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, failur
     failing_lo = 3 if failure == "caller is interrupted" else 3 + 2**15
     caller, kernel = os.getpid(), engine._omega_block
 
-    def failing(lo, *args):
+    def failing(lo, *args, **kwargs):
         if lo == failing_lo and failure != "child is killed at exit":
             if failure == "child is killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise KeyboardInterrupt if failure == "caller is interrupted" else ValueError("injected")
-        return kernel(lo, *args)
+        return kernel(lo, *args, **kwargs)
 
     def killed_at_exit(status):  # only the child leaves by os._exit, after its whole sum
         os.kill(os.getpid(), signal.SIGKILL)
