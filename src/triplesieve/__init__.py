@@ -34,8 +34,7 @@ _EXPORTS = {
     ),
     "reporting": ("ConstantCheck",),
     "sieve_functions": (
-        "SieveCurveTable", "buchstab_w", "build_curve_table", "lower_f0", "upper_F0",
-        "verify_buchstab_bounds",
+        "buchstab_w", "lower_f0", "upper_F0", "verify_buchstab_bounds",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,6 +22,7 @@ import io
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 # pipeline and sieve_functions (and json) are imported by the commands that use
@@ -157,15 +158,19 @@ def integer(token: str) -> int:
     return int(value)
 
 
-def _checkpoint(token: str) -> int:
-    try:
-        return integer(token)
-    except ValueError:
-        raise DomainError(f"checkpoints must be integers, got {token.strip()!r}") from None
+def _listed(text: str, parse: Callable[[str], float], must: str) -> list:
+    """The non-blank comma-separated tokens of an option, each through ``parse``."""
+    values = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            values.append(parse(token))
+        except ValueError:
+            raise DomainError(f"{must}, got {token.strip()!r}") from None
+    return values
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    checkpoints = [_checkpoint(c) for c in args.checkpoints.split(",") if c.strip()]
+    checkpoints = _listed(args.checkpoints, integer, "checkpoints must be integers")
     results = engine.ratio_scan(args.kind, args.params, checkpoints)
     text = _render("ratio", _COUNT_COLUMNS, [_count_row(r) for r in results],
                    args.format, not args.no_timestamp)
@@ -180,10 +185,7 @@ def _cmd_functions(args: argparse.Namespace) -> int:
     fn = evaluators[args.which]
     rows = []
     failed = False
-    for token in args.points.split(","):
-        if not token.strip():
-            continue
-        point = float(token)
+    for point in _listed(args.points, float, "points must be numbers"):
         row = {"function": args.which, "point": _fmt(point), "value": "", "error": ""}
         try:
             row["value"] = _fmt(fn(point))

@@ -71,16 +71,13 @@ def integrate_1d(
     b: float,
     tol: float = 1e-9,
     *,
-    allow_reversed: bool = False,
     max_intervals: int = 4096,
 ) -> float:
     """Integrate ``kernel`` over [a, b] to absolute accuracy ``tol``.
 
     Bisects the interval with the largest Kronrod-minus-Gauss error estimate
     until the summed estimate drops below ``tol``.  A reversed interval
-    (a > b) is a domain error unless ``allow_reversed`` is set, in which case
-    the sign-flipped value is returned.  Non-finite kernel values raise
-    EvaluationError.
+    (a > b) is a domain error.  Non-finite kernel values raise EvaluationError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"non-finite integration limits [{a}, {b}]")
@@ -89,9 +86,7 @@ def integrate_1d(
     if a == b:
         return 0.0
     if a > b:
-        if not allow_reversed:
-            raise DomainError(f"reversed interval [{a}, {b}]; pass allow_reversed=True to negate")
-        return -integrate_1d(kernel, b, a, tol, max_intervals=max_intervals)
+        raise DomainError(f"reversed interval [{a}, {b}]")
 
     def rule(lo: float, hi: float) -> tuple[float, float]:
         half = 0.5 * (hi - lo)

@@ -1,4 +1,4 @@
-"""Linear-sieve curves and the Buchstab function.
+"""Linear-sieve curves and the Buchstab function, from one unit-delay table.
 
 The upper and lower linear-sieve functions F, f satisfy F(s) = 2e^gamma/s and
 f(s) = 0 for small s, continued by the delay system (sF(s))' = f(s-1),
@@ -6,109 +6,100 @@ f(s) = 0 for small s, continued by the delay system (sF(s))' = f(s-1),
 
     F0(s) = s F(s) / (2 e^gamma),    f0(s) = s f(s) / (2 e^gamma),
 
-evaluated from the piecewise closed forms (the delay system itself is used
-only as a consistency oracle in the tests):
+which are F0 = 1 on (0, 3] and f0 = 0 on (0, 2], and above those pieces
 
-    F0(s) = 1                                                   0 < s <= 3
-    F0(s) = 1 + int_2^{s-1} log(t-1)/t dt                       3 <= s <= 5
-    F0(s) = ... + int_2^{s-3} log(t-1)/t int_{t+2}^{s-1} log((u-1)/(t+1))/u du dt
-                                                                5 <= s <= 7
-    f0(s) = 0                                                   0 < s <= 2
-    f0(s) = log(s-1)                                            2 <= s <= 4
-    f0(s) = log(s-1) + int_3^{s-1} 1/t int_2^{t-1} log(u-1)/u du dt
-                                                                4 <= s <= 6
-    f0(s) = ... + int_2^{s-4} log(t-1)/t
-                  int_{t+2}^{s-2} log((u-1)/(t+1)) log((s-1)/(u+1))/u du dt
-                                                                6 <= s <= 8
+    F0'(s) = f0(s-1)/(s-1),    f0'(s) = F0(s-1)/(s-1).
 
-The Buchstab function w is 1/u on [1, 2] and continues through
-u w(u) = 1 + int_2^u w(t-1) dt, tabulated by trapezoid accumulation on a
-1e-4 grid (the integrand is piecewise smooth with kinks only at integer u,
-which land exactly on grid nodes).
+The Buchstab function w is 1/u on [1, 2]; above it W(u) = u w(u) solves
+W'(u) = W(u-1)/(u-1).  Both systems run on one unit-delay table with step
+h = 0.005 (F0, f0 on [1, 8]; W on [1, 64]): each unit block [m, m+1] is the
+value at m plus the Euler–Maclaurin cumulative integral (O(h^6)) of the
+previous block's samples over t - 1.  The curves are smooth inside every
+block; their kinks fall on the integers, which are block ends.  Between nodes
+a curve is the cubic Hermite interpolant whose node slopes come exactly from
+the delay equations (the right-hand slope at u = 2, where they start).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
+from .constants import W_TAIL_BOUND_FROM_3, W_TAIL_BOUND_FROM_4
 from .errors import DomainError
-from .quadrature import IntegralSpec, integrate_1d, integrate_nested
+from .quadrature import _cumulative_euler_maclaurin
 from .reporting import ConstantCheck, make_check
 
+STEP = 0.005
+_PER_UNIT = round(1 / STEP)  # nodes per unit block
+
 F0_MAX = 7.0
-F0_FLAT_END = 3.0  # F0 is exactly 1 up to here
-F0_KNOTS = (3.0, 5.0)
-F0_SINGLE_END = 5.0
-
 f0_MAX = 8.0
-f0_ZERO_END = 2.0
-f0_KNOTS = (4.0, 6.0)
-f0_LOG_END = 4.0
-f0_ITERATED_END = 6.0
-
 W_MAX = 64.0
 W_BOUND_FROM_2 = 1 / 1.763
-W_BOUND_FROM_3 = 0.5644
-W_BOUND_FROM_4 = 0.5617
 
 
-def _log_shift(t: np.ndarray) -> np.ndarray:
-    return np.log(t - 1.0) / t
+def _unit_delay(
+    start: tuple[float, ...], source: list[int], top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and slopes of curves y_i on the nodes of [1, top], step STEP.
+
+    y_i = start[i] on [1, 2]; above 2, y_i'(t) = y_j(t-1)/(t-1) with
+    j = source[i].  The slope at node 2 is the right-hand one.
+    """
+    n = (top - 1) * _PER_UNIT + 1
+    t = 1.0 + STEP * np.arange(n)
+    y = np.empty((len(start), n))
+    y[:, : _PER_UNIT + 1] = np.array(start)[:, None]
+    dy = np.zeros_like(y)
+    for lo in range(_PER_UNIT, n - 1, _PER_UNIT):
+        block = slice(lo, lo + _PER_UNIT + 1)
+        prev = slice(lo - _PER_UNIT, lo + 1)
+        dy[:, block] = y[source, prev] / t[prev]
+        for i in range(len(start)):
+            y[i, block] = y[i, lo] + _cumulative_euler_maclaurin(dy[i, block], STEP)
+    return y, dy
 
 
-@lru_cache(maxsize=None)
-def upper_F0(s: float, tol: float = 1e-9) -> float:
+@cache
+def _table() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(F0 and f0 values, slopes) on [1, 8] and (W values, slopes) on [1, 64]."""
+    return _unit_delay((1.0, 0.0), [1, 0], int(f0_MAX)), _unit_delay((1.0,), [0], int(W_MAX))
+
+
+def _hermite(y: np.ndarray, dy: np.ndarray, x: np.ndarray | float) -> np.ndarray:
+    """Cubic Hermite interpolant of node values y and slopes dy at x >= 1."""
+    pos = (np.asarray(x, dtype=float) - 1.0) / STEP
+    i = np.minimum(pos.astype(np.intp), len(y) - 2)
+    th = pos - i
+    rest = 1.0 - th
+    return (
+        rest * rest * ((1.0 + 2.0 * th) * y[i] + STEP * th * dy[i])
+        + th * th * ((3.0 - 2.0 * th) * y[i + 1] - STEP * rest * dy[i + 1])
+    )
+
+
+def upper_F0(s: float) -> float:
     """Normalized upper sieve curve F0(s) on (0, 7]."""
     s = float(s)
     if not 0.0 < s <= F0_MAX:
         raise DomainError(f"F0 is defined on 0 < s <= {F0_MAX}, got {s}")
-    if s <= F0_FLAT_END:
+    if s <= 3.0:
         return 1.0
-    value = 1.0 + integrate_1d(_log_shift, 2.0, s - 1.0, tol)
-    if s > F0_SINGLE_END:
-        wedge = IntegralSpec(
-            "F0.wedge", 2,
-            ((2.0, s - 3.0), (lambda t: t + 2.0, s - 1.0)),
-            lambda t, u: np.log(t - 1.0) / t * np.log((u - 1.0) / (t + 1.0)) / u,
-            tol,
-        )
-        value += integrate_nested(wedge)
-    return value
+    (y, dy), _ = _table()
+    return float(_hermite(y[0], dy[0], s))
 
 
-@lru_cache(maxsize=None)
-def lower_f0(s: float, tol: float = 1e-9) -> float:
+def lower_f0(s: float) -> float:
     """Normalized lower sieve curve f0(s) on (0, 8]; identically 0 up to s = 2."""
     s = float(s)
     if not 0.0 < s <= f0_MAX:
         raise DomainError(f"f0 is defined on 0 < s <= {f0_MAX}, got {s}")
-    if s <= f0_ZERO_END:
+    if s <= 2.0:
         return 0.0
-    value = math.log(s - 1.0)
-    if s > f0_LOG_END:
-        iterated = IntegralSpec(
-            "f0.iterated", 2,
-            ((3.0, s - 1.0), (2.0, lambda t: t - 1.0)),
-            lambda t, u: np.log(u - 1.0) / (t * u),
-            tol,
-        )
-        value += integrate_nested(iterated)
-    if s > f0_ITERATED_END:
-        wedge = IntegralSpec(
-            "f0.wedge", 2,
-            ((2.0, s - 4.0), (lambda t: t + 2.0, s - 2.0)),
-            lambda t, u: (
-                np.log(t - 1.0) / t
-                * np.log((u - 1.0) / (t + 1.0)) * np.log((s - 1.0) / (u + 1.0)) / u
-            ),
-            tol,
-        )
-        value += integrate_nested(wedge)
-    return value
+    (y, dy), _ = _table()
+    return float(_hermite(y[1], dy[1], s))
 
 
 # ---------------------------------------------------------------------------
@@ -116,42 +107,15 @@ def lower_f0(s: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _buchstab_table(step: float = 1e-4, u_max: float = W_MAX) -> tuple[np.ndarray, np.ndarray]:
-    """Grid of w(u) on [2, u_max] by blockwise trapezoid accumulation of W = u w(u).
-
-    Each unit block [m, m+1] only reads w values from the previous block
-    (the integrand is w(u-1)), so the recurrence vectorizes block by block.
-    """
-    per = int(round(1.0 / step))
-    if abs(per * step - 1.0) > 1e-12:
-        raise DomainError("step must divide 1 exactly")
-    n = int(round((u_max - 2.0) / step)) + 1
-    u = np.linspace(2.0, u_max, n)
-    g = np.empty(n)  # g[i] = w(u[i] - 1)
-    big_w = np.empty(n)  # big_w[i] = u[i] * w(u[i])
-    first = min(per, n - 1)
-    g[: first + 1] = 1.0 / (u[: first + 1] - 1.0)
-    big_w[0] = 1.0
-    for i_lo in range(0, n - 1, per):
-        i_hi = min(i_lo + per, n - 1)
-        if i_lo > 0:
-            src = slice(i_lo + 1 - per, i_hi + 1 - per)
-            g[i_lo + 1 : i_hi + 1] = big_w[src] / u[src]
-        panel = 0.5 * (g[i_lo:i_hi] + g[i_lo + 1 : i_hi + 1]) * step
-        big_w[i_lo + 1 : i_hi + 1] = big_w[i_lo] + np.cumsum(panel)
-    return u, big_w / u
-
-
 def buchstab_w(u: float) -> float:
-    """Buchstab w(u) for 1 <= u <= 64 (exact 1/u on [1, 2], table-stepped above)."""
+    """Buchstab w(u) for 1 <= u <= 64 (exact 1/u on [1, 2])."""
     u = float(u)
     if not 1.0 <= u <= W_MAX:
         raise DomainError(f"w is tabulated on 1 <= u <= {W_MAX}, got {u}")
     if u <= 2.0:
         return 1.0 / u
-    grid, vals = _buchstab_table()
-    return float(np.interp(u, grid, vals))
+    _, (y, dy) = _table()
+    return float(_hermite(y[0], dy[0], u)) / u
 
 
 def buchstab_w_many(u: np.ndarray) -> np.ndarray:
@@ -159,12 +123,8 @@ def buchstab_w_many(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.size and (u.min() < 1.0 or u.max() > W_MAX):
         raise DomainError(f"w arguments must lie in [1, {W_MAX}]")
-    grid, vals = _buchstab_table()
-    out = np.interp(u, grid, vals)
-    small = u <= 2.0
-    if np.any(small):
-        out = np.where(small, 1.0 / np.maximum(u, 1.0), out)
-    return out
+    _, (y, dy) = _table()
+    return np.where(u <= 2.0, 1.0, _hermite(y[0], dy[0], u)) / u
 
 
 def verify_buchstab_bounds(grid_step: float = 0.01, u_max: float = W_MAX) -> list[ConstantCheck]:
@@ -179,8 +139,8 @@ def verify_buchstab_bounds(grid_step: float = 0.01, u_max: float = W_MAX) -> lis
         raise DomainError(f"u_max must lie in [2, {W_MAX}]")
     bounds = (
         ("w_max_from_2", 2.0, W_BOUND_FROM_2, "w(u) <= 1/1.763 for u >= 2"),
-        ("w_max_from_3", 3.0, W_BOUND_FROM_3, "w(u) < 0.5644 for u >= 3"),
-        ("w_max_from_4", 4.0, W_BOUND_FROM_4, "w(u) < 0.5617 for u >= 4"),
+        ("w_max_from_3", 3.0, W_TAIL_BOUND_FROM_3, "w(u) < 0.5644 for u >= 3"),
+        ("w_max_from_4", 4.0, W_TAIL_BOUND_FROM_4, "w(u) < 0.5617 for u >= 4"),
     )
     checks = []
     for label, lo, bound, note in bounds:
@@ -192,108 +152,3 @@ def verify_buchstab_bounds(grid_step: float = 0.01, u_max: float = W_MAX) -> lis
         peak = float(buchstab_w_many(points).max())
         checks.append(make_check(label, peak, bound, "upper", 0.0, note))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Tabulated curves
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SieveCurveTable:
-    """Sieve curves on uniform grids: F0/f0 over s, w over u.
-
-    F0's closed forms stop at s = 7; entries of ``F0_values`` above 7 are NaN
-    and skipped by the invariant checks.  ``tolerance`` is the absolute
-    accuracy of each tabulated entry.
-    """
-
-    s_grid: np.ndarray
-    F0_values: np.ndarray
-    f0_values: np.ndarray
-    u_grid: np.ndarray
-    w_values: np.ndarray
-    tolerance: float
-
-    def F0_at(self, s: float) -> float:
-        if not self.s_grid[0] <= s <= F0_MAX:
-            raise DomainError(f"table lookup outside [{self.s_grid[0]}, {F0_MAX}]")
-        return float(np.interp(s, self.s_grid, self.F0_values))
-
-    def f0_at(self, s: float) -> float:
-        if not self.s_grid[0] <= s <= self.s_grid[-1]:
-            raise DomainError("table lookup outside the s grid")
-        return float(np.interp(s, self.s_grid, self.f0_values))
-
-    def w_at(self, u: float) -> float:
-        if not self.u_grid[0] <= u <= self.u_grid[-1]:
-            raise DomainError("table lookup outside the u grid")
-        return float(np.interp(u, self.u_grid, self.w_values))
-
-    def validate(self) -> list[str]:
-        """Structural invariants; returns human-readable violations (empty = ok)."""
-        bad: list[str] = []
-        slack = 2.0 * self.tolerance
-        s, F0v, f0v = self.s_grid, self.F0_values, self.f0_values
-        if not np.all(np.diff(s) > 0):
-            bad.append("s_grid not strictly ascending")
-        if not np.all(np.diff(self.u_grid) > 0):
-            bad.append("u_grid not strictly ascending")
-        finite = np.isfinite(F0v)
-        if np.any(~finite & (s <= F0_MAX + 1e-9)):
-            bad.append("F0 has NaN entries at or below s = 7")
-        flat = s <= F0_FLAT_END + 1e-12
-        if not np.all(F0v[flat] == 1.0):
-            bad.append("F0 != 1 somewhere on (0, 3]")
-        zero = s <= f0_ZERO_END + 1e-12
-        if not np.all(f0v[zero] == 0.0):
-            bad.append("f0 != 0 somewhere on (0, 2]")
-        if np.any(F0v[finite] < 1.0 - slack):
-            bad.append("F0 < 1 somewhere")
-        if np.any(f0v[finite] > F0v[finite] + slack):
-            bad.append("f0 exceeds F0 (lower sieve above upper sieve)")
-        on2 = s >= f0_ZERO_END - 1e-12
-        if np.any(np.diff(f0v[on2]) < -slack):
-            bad.append("f0 decreasing on [2, 8]")
-        u12 = self.u_grid <= 2.0 + 1e-12
-        if not np.allclose(self.w_values[u12], 1.0 / self.u_grid[u12], rtol=0, atol=1e-12):
-            bad.append("w != 1/u on [1, 2]")
-        # adjacent-entry continuity: local slopes of all three curves are < 10
-        for name, grid, vals in (
-            ("F0", s[finite], F0v[finite]),
-            ("f0", s, f0v),
-            ("w", self.u_grid, self.w_values),
-        ):
-            steps = np.diff(grid)
-            if np.any(np.abs(np.diff(vals)) > 10.0 * steps + slack):
-                bad.append(f"{name} jumps by more than 10x the grid step")
-        return bad
-
-
-def build_curve_table(
-    s_step: float = 1e-3,
-    u_step: float = 0.01,
-    tolerance: float = 1e-6,
-) -> SieveCurveTable:
-    """Tabulate F0, f0, w at uniform resolution (defaults: 1e-3 in s, 1e-2 in u).
-
-    The single-integral pieces ride on one cumulative grid; the double-integral
-    pieces above s = 5 (F0) and s = 6 (f0) are evaluated pointwise, so the
-    default resolution takes a couple of seconds to build.
-    """
-    n_s = int(round(f0_MAX / s_step))
-    s_grid = np.linspace(s_step, f0_MAX, n_s)
-    F0v = np.empty(n_s)
-    f0v = np.empty(n_s)
-    for i, s in enumerate(s_grid):
-        sv = float(s)
-        # grid points that should be exactly 7 can round a few ulp past it
-        if sv <= F0_MAX + 1e-9:
-            F0v[i] = upper_F0(min(sv, F0_MAX), tolerance / 10)
-        else:
-            F0v[i] = math.nan
-        f0v[i] = lower_f0(min(sv, f0_MAX), tolerance / 10)
-    n_u = int(round((W_MAX - 1.0) / u_step))
-    u_grid = np.linspace(1.0, W_MAX, n_u + 1)
-    w_vals = buchstab_w_many(u_grid)
-    return SieveCurveTable(s_grid, F0v, f0v, u_grid, w_vals, tolerance)

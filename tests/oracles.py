@@ -3,18 +3,21 @@
 Everything here deliberately avoids the package's own numerical paths:
 trial division instead of sieves, a residual-division Omega sieve instead of
 the wheel and log-sum kernel, composite Simpson / midpoint cubature instead of
-the adaptive and tensor integrators, and a chain recursion whose trapezoid
+the adaptive and tensor integrators, a chain recursion whose trapezoid
 correction takes analytic derivatives (from the recursion itself) instead of
-the package's differenced ones, on its own grid.  Two helpers do call the package: ``mirrored_count``
-takes Omega from ``sieve_omega`` but pairs n with N - n over one whole array,
-not over paired segments, and ``hit_positions`` reads the counted integers off
-the package's own checkpoint counts.
+the package's differenced ones, on its own grid, and the piecewise closed
+forms of the sieve curves in ``mpmath`` instead of the unit-delay table.  Two
+helpers do call the package: ``mirrored_count`` takes Omega from
+``sieve_omega`` but pairs n with N - n over one whole array, not over paired
+segments, and ``hit_positions`` reads the counted integers off the package's
+own checkpoint counts.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -231,3 +234,64 @@ def chain_density_sum(h: float = 0.01) -> float:
         dg = g_prev / t - A_prev / t**2
         g = A_prev / t
     return total
+
+
+# ---------------------------------------------------------------------------
+# Sieve curves: the piecewise closed forms, in mpmath at 20 digits
+# ---------------------------------------------------------------------------
+
+
+def _A1(x):
+    """int_2^x log(u-1)/u du = log(x-1) log x + Li2(1-x) + pi^2/12."""
+    return mpmath.log(x - 1) * mpmath.log(x) + mpmath.polylog(2, 1 - x) + mpmath.pi**2 / 12
+
+
+def F0_closed(s: float) -> float:
+    """F0(s) on [3, 7]: 1 + A1(s-1), plus the wedge
+    int_2^{s-3} log(t-1)/t int_{t+2}^{s-1} log((u-1)/(t+1))/u du dt above 5."""
+    with mpmath.workdps(20):
+        s = mpmath.mpf(s)
+        value = 1 + _A1(s - 1)
+        if s > 5:
+            value += mpmath.quad(
+                lambda t: mpmath.log(t - 1) / t * (
+                    _A1(s - 1) - _A1(t + 2) - mpmath.log(t + 1) * mpmath.log((s - 1) / (t + 2))
+                ),
+                [2, s - 3],
+            )
+        return float(value)
+
+
+def f0_closed(s: float) -> float:
+    """f0(s) on [2, 8]: log(s-1), plus int_3^{s-1} A1(t-1)/t dt above 4, plus
+    int_2^{s-4} log(t-1)/t int_{t+2}^{s-2} log((u-1)/(t+1)) log((s-1)/(u+1))/u du dt
+    above 6."""
+    with mpmath.workdps(20):
+        s = mpmath.mpf(s)
+        value = mpmath.log(s - 1)
+        if s > 4:
+            value += mpmath.quad(lambda t: _A1(t - 1) / t, [3, s - 1])
+        if s > 6:
+            value += mpmath.quad(
+                lambda t: mpmath.log(t - 1) / t * mpmath.quad(
+                    lambda u: mpmath.log((u - 1) / (t + 1)) * mpmath.log((s - 1) / (u + 1)) / u,
+                    [t + 2, s - 2],
+                ),
+                [2, s - 4],
+            )
+        return float(value)
+
+
+def _W3(x):
+    """u w(u) on [3, 4]: 1 + log(x-1) + A1(x-1)."""
+    return 1 + mpmath.log(x - 1) + _A1(x - 1)
+
+
+def w_closed(u: float) -> float:
+    """Buchstab w(u) on [3, 5]: W = u w(u) is W3 on [3, 4], continued by
+    W(u) = W3(4) + int_4^u W3(t-1)/(t-1) dt on [4, 5]."""
+    with mpmath.workdps(20):
+        u = mpmath.mpf(u)
+        if u <= 4:
+            return float(_W3(u) / u)
+        return float((_W3(4) + mpmath.quad(lambda t: _W3(t - 1) / (t - 1), [4, u])) / u)

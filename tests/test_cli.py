@@ -162,6 +162,13 @@ def test_functions_out_of_domain_marks_row_and_exits_two(capsys):
     assert rows[1]["value"] == "" and rows[1]["error"] != ""
 
 
+def test_functions_rejects_non_numeric_point(capsys):
+    code, out, err = run_cli(capsys, "functions", "w", "--points", "3,abc", "--no-timestamp")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: points must be numbers, got 'abc'\n")
+
+
 def test_constants_default_set(capsys):
     code, out, _ = run_cli(capsys, "constants", "--no-timestamp")
     rows = parse_csv(out)

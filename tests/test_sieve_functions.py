@@ -5,7 +5,6 @@ import pytest
 
 from triplesieve.errors import DomainError
 from triplesieve.sieve_functions import (
-    build_curve_table,
     buchstab_w,
     buchstab_w_many,
     lower_f0,
@@ -48,6 +47,17 @@ def test_F0_at_five_matches_simpson_oracle():
 def test_F0_just_below_four_matches_simpson_oracle():
     oracle = 1.0 + oracles.simpson(log_shift, 2.0, 2.99, 200_000)
     assert abs(upper_F0(3.99) - oracle) < 1e-8
+
+
+# points inside every piece, on and between the table's nodes
+@pytest.mark.parametrize("s", [3.1416, 3.99, 4.7071, 5.0, 5.4142, 6.175, 6.9137, 7.0])
+def test_F0_matches_closed_form(s):
+    assert abs(upper_F0(s) - oracles.F0_closed(s)) < 1e-11
+
+
+@pytest.mark.parametrize("s", [4.3219, 5.0, 5.7183, 6.3183, 7.0, 7.5432, 8.0])
+def test_f0_matches_closed_form(s):
+    assert abs(lower_f0(s) - oracles.f0_closed(s)) < 1e-11
 
 
 def test_domain_errors():
@@ -109,29 +119,32 @@ def test_w_reciprocal_piece():
 
 def test_w_at_three_one_analytic_step():
     # 3 w(3) = 1 + int_2^3 w(t-1) dt = 1 + log 2
-    assert abs(buchstab_w(3.0) - (1 + math.log(2)) / 3) < 1e-6
+    assert abs(buchstab_w(3.0) - (1 + math.log(2)) / 3) < 1e-11
     assert buchstab_w(3.0) < 0.5644
 
 
 def test_w_closed_form_on_second_unit_interval():
     # u w(u) = 1 + log(u-1) exactly for 2 <= u <= 3
-    for u in (2.2, 2.5, 2.8, 3.0):
-        assert abs(buchstab_w(u) - (1 + math.log(u - 1)) / u) < 1e-7
+    for u in (2.0031, 2.2, 2.5, 2.8, 3.0):
+        assert abs(buchstab_w(u) - (1 + math.log(u - 1)) / u) < 1e-11
 
 
 def test_w_matches_simpson_oracle_on_third_unit_interval():
     # u w(u) = 1 + log 2 + int_2^{u-1} (1 + log(v-1))/v dv for 3 <= u <= 4
     for u in (3.3, 3.7, 4.0):
         tail = oracles.simpson(lambda v: (1 + np.log(v - 1.0)) / v, 2.0, u - 1.0, 20_000)
-        assert abs(buchstab_w(u) - (1 + math.log(2) + tail) / u) < 1e-7
+        assert abs(buchstab_w(u) - (1 + math.log(2) + tail) / u) < 1e-11
 
 
-def test_w_table_refinement_stability():
-    from triplesieve.sieve_functions import _buchstab_table
+@pytest.mark.parametrize("u", [3.1416, 3.7183, 4.0, 4.4142, 4.8765, 5.0])
+def test_w_matches_closed_form(u):
+    assert abs(buchstab_w(u) - oracles.w_closed(u)) < 1e-11
+    assert abs(buchstab_w_many(np.array([u]))[0] - oracles.w_closed(u)) < 1e-11
 
-    grid, coarse = _buchstab_table(1e-4, 16.0)
-    _, fine = _buchstab_table(5e-5, 16.0)
-    assert np.max(np.abs(coarse - fine[::2])) < 1e-8
+
+def test_w_at_64_is_the_limit():
+    # w(u) -> e^-gamma, and by u = 64 the remaining oscillation is far below 1e-16
+    assert abs(buchstab_w(64.0) - math.exp(-0.57721566490153286)) < 1e-15
 
 
 def test_w_domain():
@@ -171,34 +184,23 @@ def test_w_late_range_stays_near_limit():
 
 
 # ---------------------------------------------------------------------------
-# curve table
+# invariants on a fine grid
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def coarse_table():
-    return build_curve_table(s_step=0.05, u_step=0.1, tolerance=1e-6)
-
-
-def test_table_invariants(coarse_table):
-    assert coarse_table.validate() == []
-
-
-def test_table_upper_curve_nan_above_seven(coarse_table):
-    above = coarse_table.s_grid > 7.0
-    assert np.all(np.isnan(coarse_table.F0_values[above]))
-    assert np.all(np.isfinite(coarse_table.f0_values))
-
-
-def test_table_interpolation_matches_direct(coarse_table):
-    for s in (2.5, 3.7, 4.9, 5.5, 6.175):
-        assert coarse_table.F0_at(s) == pytest.approx(upper_F0(s), abs=2e-4)
-        assert coarse_table.f0_at(s) == pytest.approx(lower_f0(s), abs=2e-4)
-    assert coarse_table.w_at(3.0) == pytest.approx(buchstab_w(3.0), abs=1e-6)
-
-
-def test_table_lookup_domain(coarse_table):
-    with pytest.raises(DomainError):
-        coarse_table.F0_at(7.5)
-    with pytest.raises(DomainError):
-        coarse_table.w_at(0.5)
+def test_curve_invariants_on_fine_grid():
+    s = np.linspace(0.002, 8.0, 4000)
+    upper = s <= 7.0
+    F0v = np.array([upper_F0(float(v)) for v in s[upper]])
+    f0v = np.array([lower_f0(float(v)) for v in s])
+    assert np.all(F0v[s[upper] <= 3.0] == 1.0)
+    assert np.all(f0v[s <= 2.0] == 0.0)
+    assert np.all(F0v >= 1.0)
+    assert np.all(f0v[upper] <= F0v)  # the lower sieve stays below the upper
+    assert np.all(np.diff(f0v[s >= 2.0]) >= 0.0)
+    u = np.linspace(1.0, 64.0, 12601)
+    wv = buchstab_w_many(u)
+    assert np.all(wv[u <= 2.0] == 1.0 / u[u <= 2.0])
+    # adjacent entries: local slopes of all three curves stay below 10
+    for grid, vals in ((s[upper], F0v), (s, f0v), (u, wv)):
+        assert np.all(np.abs(np.diff(vals)) < 10.0 * np.diff(grid))
