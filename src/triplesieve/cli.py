@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -93,10 +94,18 @@ def _parse_tolerances(items: list[str]) -> tuple[float | None, dict[str, float]]
             label, _, pct = item.partition("=")
             if label not in known:
                 raise DomainError(f"unknown label in --tolerance: {label!r}")
-            overrides[label] = float(pct) / 100.0
+            overrides[label] = _fraction(pct)
         else:
-            default = float(item) / 100.0
+            default = _fraction(item)
     return default, overrides
+
+
+def _fraction(pct: str) -> float:
+    """A --tolerance percentage as a fraction: finite and at least 0."""
+    value = float(pct) / 100.0
+    if not 0 <= value < math.inf:  # also rejects nan
+        raise DomainError(f"tolerance must be a finite percentage >= 0, got {pct.strip()!r}")
+    return value
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -158,19 +167,22 @@ def integer(token: str) -> int:
     return int(value)
 
 
-def _listed(text: str, parse: Callable[[str], float], must: str) -> list:
-    """The non-blank comma-separated tokens of an option, each through ``parse``."""
+def _listed(text: str, parse: Callable[[str], float], name: str, kind: str) -> list:
+    """The non-blank comma-separated tokens of option ``name``, each through
+    ``parse``; at least one."""
     values = []
     for token in filter(str.strip, text.split(",")):
         try:
             values.append(parse(token))
         except ValueError:
-            raise DomainError(f"{must}, got {token.strip()!r}") from None
+            raise DomainError(f"{name} must be {kind}, got {token.strip()!r}") from None
+    if not values:
+        raise DomainError(f"{name} must hold at least one value, got {text!r}")
     return values
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    checkpoints = _listed(args.checkpoints, integer, "checkpoints must be integers")
+    checkpoints = _listed(args.checkpoints, integer, "checkpoints", "integers")
     results = engine.ratio_scan(args.kind, args.params, checkpoints)
     text = _render("ratio", _COUNT_COLUMNS, [_count_row(r) for r in results],
                    args.format, not args.no_timestamp)
@@ -185,7 +197,7 @@ def _cmd_functions(args: argparse.Namespace) -> int:
     fn = evaluators[args.which]
     rows = []
     failed = False
-    for point in _listed(args.points, float, "points must be numbers"):
+    for point in _listed(args.points, float, "points", "numbers"):
         row = {"function": args.which, "point": _fmt(point), "value": "", "error": ""}
         try:
             row["value"] = _fmt(fn(point))

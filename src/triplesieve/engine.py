@@ -23,15 +23,18 @@ All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
 prime exactly when Omega == 1, so the triple count of primes p <= x with
 Omega(p+2) <= a and Omega(p+6) <= b is three aligned slices of one segment.
-The four prime-headed kinds read only odd n (past p = 2, checked on its own),
-so their segments hold one word per odd n (the kernel's step 2): half the
-work for the same range.  D_sr, whose head is any n, and sieve_omega keep one
-word per integer.  SEGMENT_SIZE counts words.  The mirrored kinds (N - p
+The four prime-headed kinds read only odd n (past p = 2, checked on its own by
+trial division), so their segments hold one word per odd n (the kernel's
+step 2) and copy in only the wheel's odd half: half the work for the same
+range.  D_sr, whose head is any n, and sieve_omega keep one word per integer
+and the full wheel.  SEGMENT_SIZE counts words.  The mirrored kinds (N - p
 almost-prime) pair each segment [lo, hi) below N/2 with its mirror
 [N - hi + 1, N - lo + 1), so memory stays bounded by the segment size, not
 by N.  The mirror's Omega values are written reversed, so every mask of a
 pair reads its arrays forwards (a negative-stride compare of 2^20 bytes runs
-~13x slower).
+~13x slower).  At 2^19 words a worker's buffers take 1.5 MiB, 2 MiB for a
+mirrored count: the plan's 1 MiB word block and a 0.5 MiB Omega array per
+segment of a unit.
 
 This module imports numpy and the Euler products of constants, but not the
 quadrature, the sieve curves or the pipeline; ``import triplesieve`` itself
@@ -55,11 +58,14 @@ from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-# words per streaming segment, read at each count.  Swept over 2^19, 2^20 and 2^21
-# words on 2 threads (2 vCPUs, 2 MiB L2 each): 2^20 was fastest both for
-# count pi_1ab 100250000 (0.166 / 0.142 / 0.151 s) and near 1e10 (204 / 239 /
-# 220 Mword/s); CHANGES.md has the full sweep.
-SEGMENT_SIZE = 1 << 20
+# words per streaming segment, read at each count.  Swept over 2^18, 2^19 and
+# 2^20 words with perfbench/run.py (2 vCPUs, six 20 s runs each, medians):
+# peak_rss_mb 33.47 / 34.91 / 36.61 MB on count_mirror and 34.49 / 34.55 /
+# 35.56 MB on count_forward, wall_s 136 / 134 / 135 ms and 146 / 130 / 133 ms.
+# 2^19 halves a worker's buffers at no cost the harness can see; one worker's
+# odd blocks near 1e10 run ~490 Mword/s against ~520 at 2^20 and 300-400 at 2^18.
+# CHANGES.md has the sweep.
+SEGMENT_SIZE = 1 << 19
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
 
@@ -109,14 +115,17 @@ def thread_count() -> int:
 
 
 _OMEGA_SHIFT = 10  # Omega << 10, less the fixed-point log sum
+_MAX_OMEGA = 33  # the largest Omega(n) for n < 2^34, a bound past MAX_SIEVE_BOUND
 _LOG_SCALE = 1 << 5
 _WHEEL_PERIOD = 360360  # 2^3 3^2 5 7 11 13
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # prime powers with fewer multiples per block are scattered.  On 2^20-word
 # blocks near 1e8, 1e9 and 1e10 (2 vCPUs) 128 and 256 run within noise of each
 # other (2.58 / 3.04 / 3.69 ms against 2.64 / 3.14 / 3.86 for odd blocks), and
-# 128 holds a count's scatter plan to 0.26 / 1.46 / 2.60 MiB, not 1.06 / 2.27 /
-# 3.41; 96 and 64 were no faster.
+# 96 and 64 were no faster.  On 2^19-word blocks 256 read no faster on the
+# harness (wall_s 128 / 145 ms against 130 / 134 ms on count_forward /
+# count_mirror) and 64 was slower in process; 128 holds a count's scatter plan
+# to 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10, not 0.99 / 1.61 / 2.22.
 _SCATTER_HITS = 128
 
 
@@ -132,16 +141,14 @@ def _log_words(p: np.ndarray, k: int) -> np.ndarray:
 @functools.cache
 def _wheel(step: int = 1) -> np.ndarray:
     """Words of the wheel's prime powers for one period, n = 0 .. 360359; with
-    step 2 only its odd n = 1, 3, .., 360359, a period of 180180 words."""
-    if step == 2:
-        wheel = _wheel()[1::2].copy()
-    else:
-        wheel = np.zeros(_WHEEL_PERIOD, dtype=np.uint16)
-        for p in _WHEEL_PRIMES:
-            q, k = p, 1
-            while _WHEEL_PERIOD % q == 0:
-                wheel[::q] += _log_words(np.array([p]), k)[0]
-                q, k = q * p, k + 1
+    step 2 only its odd n = 1, 3, .., 360359, a period of 180180 words, where
+    an odd q strikes the odd multiples of q: index (q - 1) / 2, then every q-th."""
+    wheel = np.zeros(_WHEEL_PERIOD // step, dtype=np.uint16)
+    for p in _WHEEL_PRIMES[step - 1 :]:  # step 2 drops the powers of 2
+        q, k = p, 1
+        while _WHEEL_PERIOD % q == 0:
+            wheel[(q - 1) // 2 if step == 2 else 0 :: q] += _log_words(np.array([p]), k)[0]
+            q, k = q * p, k + 1
     wheel.flags.writeable = False
     return wheel
 
@@ -344,7 +351,8 @@ KINDS = {
 
 
 def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
-    """The kind's named parameters from positional values, each at least 1."""
+    """The kind's named parameters from positional values, each in [1, 33]:
+    Omega(n) <= 33 for every n < 2^34, so a larger bound counts the same."""
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     names = KINDS[kind].params
@@ -354,6 +362,8 @@ def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
     for name, value in params.items():
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
+        if value > _MAX_OMEGA:
+            raise DomainError(f"{name} must be <= {_MAX_OMEGA}, got {value}")
     return params
 
 
@@ -451,6 +461,17 @@ def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
             os.waitpid(pid, 0)
 
 
+def _trial_omega(n: int, primes: np.ndarray) -> int:
+    """Omega(n) by trial division, for ascending primes covering sqrt(n)."""
+    omega = 0
+    for p in primes.tolist():
+        if p * p > n:
+            break
+        while n % p == 0:
+            n, omega = n // p, omega + 1
+    return omega + (n > 1)
+
+
 def _sieve_count(
     marks: Sequence[int],
     head: int | None,
@@ -464,11 +485,12 @@ def _sieve_count(
     Work units are segments of SEGMENT_SIZE words, each sieved with a pad for the
     offsets.  A prime head past 2 is odd, and so are n + 2, n + 6 and N - n, so
     those kinds sieve only odd n (step 2: index i is n = lo + 2i, the offsets 2
-    and 6 are index offsets 1 and 3) and check p = 2 on its own.  Mirrored units
-    walk only lo <= N/2: each also sieves [N - hi + 1, N - lo + 1) into a
-    reversed buffer, which read forwards from the pad on is Omega(N - n) for the
-    unit's n, and counts both the n and their partners N - n from the pair; the
-    unit ends just past an n, so with step 2 both segments start on an odd n.
+    and 6 are index offsets 1 and 3) and check p = 2 on its own by trial
+    division.  Mirrored units walk only lo <= N/2: each also sieves
+    [N - hi + 1, N - lo + 1) into a reversed buffer, which read forwards from
+    the pad on is Omega(N - n) for the unit's n, and counts both the n and their
+    partners N - n from the pair; the unit ends just past an n, so with step 2
+    both segments start on an odd n.
     A count builds one _Plan and one set of buffers, sized by its longest unit,
     so memory is O(segment) per worker for every kind and a unit allocates
     nothing of that size.  Unit counts are added as integers, so the result does
@@ -524,11 +546,10 @@ def _sieve_count(
         counts = _forked_sum(work, units, workers, len(marks))
     else:
         counts = _unit_sum(work, units, len(marks))
-    if step == 2:  # the even prime
-        om = _omega_block(2, 3 + pad, base_primes)
-        two = om[0] <= head and all(om[off] <= bound for off, bound in forward)
+    if step == 2 and size >= 2:  # the even prime; base_primes covers sqrt(size + pad)
+        two = all(_trial_omega(2 + off, base_primes) <= bound for off, bound in forward)
         if mirror is not None:
-            two = two and _omega_block(size - 2, size - 1, base_primes)[0] <= mirror
+            two = two and _trial_omega(size - 2, base_primes) <= mirror
         counts += two & (marks >= 2)
     return counts
 

@@ -259,6 +259,86 @@ def test_help_exits_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the exit-code contract: 0 clean, 1 usage with an error line, 2 flagged
+# ---------------------------------------------------------------------------
+
+HOSTILE_ARGVS = [
+    # count: sizes
+    (1, "count", "D_1ab", "-8", "2", "2"),
+    (1, "count", "pi_1ab", "1e11", "1", "1"),
+    (1, "count", "pi_1ab", "99999999999999999999999", "1", "1"),
+    (1, "count", "pi_1ab", "nan", "1", "1"),
+    (1, "count", "pi_1ab", "inf", "1", "1"),
+    (1, "count", "pi_1ab", "", "1", "1"),
+    (1, "count", "D_1ab", "1001", "2", "2"),
+    (0, "count", "pi_1ab", "0", "1", "1"),
+    (0, "count", "pi_1ab", "1e3", "1", "1"),
+    # count: factor budgets
+    (1, "count", "D_sr", "1000000", "99999999999999999999", "1"),
+    (1, "count", "pi_1ab", "1000000", "400", "1"),
+    (1, "count", "D_1r", "1000", "34"),
+    (1, "count", "pi_1ab", "1000", "-1", "1"),
+    (1, "count", "pi_1ab", "1000", "1e6", "1"),
+    (1, "count", "pi_1ab", "1000", "nan", "1"),
+    (1, "count", "pi_1r", "1000"),
+    (1, "count", "nope", "1000", "1"),
+    # ratio
+    (1, "ratio", "pi_1r", "2000", "--checkpoints", "100,1000"),
+    (1, "ratio", "pi_1r", "-3", "--checkpoints", "100"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", ""),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", ","),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", " , ,"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", "nan"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", "inf"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", "-100"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", "1e12"),
+    (1, "ratio", "pi_1r", "1", "--checkpoints", "1000,100"),
+    (0, "ratio", "D_1r", "2", "--checkpoints", "1e3,2e3"),
+    # functions
+    (1, "functions", "w", "--points", ""),
+    (1, "functions", "w", "--points", ","),
+    (1, "functions", "w", "--points", "abc"),
+    (1, "functions", "f0", "--points", "-inf"),
+    (2, "functions", "w", "--points", "nan"),
+    (2, "functions", "F0", "--points", "inf"),
+    (2, "functions", "f0", "--points", "-1"),
+    (2, "functions", "w", "--points", "1e308"),
+    # verify
+    (1, "verify", "--tolerance", "nan"),
+    (1, "verify", "--tolerance", "-5"),
+    (1, "verify", "--tolerance", "inf"),
+    (1, "verify", "--tolerance", "1e400"),
+    (1, "verify", "--tolerance", ""),
+    (1, "verify", "--tolerance", "S11=nan"),
+    (1, "verify", "--tolerance", "S11=-1"),
+    (1, "verify", "--tolerance", "S11=inf"),
+    # constants and the top level
+    (1, "constants", "CN=nan"),
+    (1, "constants", "CN=-4"),
+    (1, "constants", "CN=1e30"),
+    (1, "constants", "CN="),
+    (1, "constants", "C9"),
+    (1,),
+    (1, "--bogus"),
+]
+
+
+@pytest.mark.parametrize("expected, argv", [(case[0], case[1:]) for case in HOSTILE_ARGVS],
+                         ids=[" ".join(case[1:]) or "<none>" for case in HOSTILE_ARGVS])
+def test_hostile_argv_keeps_the_exit_code_contract(capsys, expected, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own exits
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert code == expected, err
+    if code == 1:
+        assert any("error: " in line for line in err.splitlines()), err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -451,24 +531,44 @@ def test_an_unknown_attribute_raises_attribute_error():
     assert _loaded_after(code) == {"triplesieve"}
 
 
-def _minor_faults(*argv):
-    """Minor page faults of one cold CLI run on one sieve worker, from os.wait4."""
+# Waits for a command and prints its exit status, minor faults and peak RSS (KiB)
+# from os.wait4.  On Linux a process's ru_maxrss starts at the peak RSS of the
+# image it was exec'd from, so the CLI is started from this small process, not
+# from the test process, whose own RSS would mask the CLI's.
+_LAUNCH = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_minflt, usage.ru_maxrss)\n"
+)
+
+
+def _cold_usage(*argv):
+    """Minor faults and peak RSS (KiB) of one cold CLI run on one sieve worker."""
     env = {**os.environ, "PYTHONPATH": str(Path(triplesieve.__file__).parent.parent),
            "TRIPLESIEVE_THREADS": "1"}
-    proc = subprocess.Popen([sys.executable, "-m", "triplesieve", *argv],
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    with proc.stderr:
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0, proc.stderr.read()
-    return usage.ru_minflt
+    run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, "-m", "triplesieve",
+                          *argv], env=env, capture_output=True, text=True, check=True)
+    status, faults, peak = map(int, run.stdout.split())
+    assert status == 0, run.stderr
+    return faults, peak
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "wait4"),
                     reason="counts minor faults through os.wait4 on Linux")
 def test_a_large_count_faults_its_buffers_in_once():
-    # 48 blocks of 2^20 words; a unit that allocated its arrays afresh took
-    # ~29k more faults than the small count, one set of buffers ~1.3k
-    small = _minor_faults("count", "D_1ab", "1000", "2", "2")
-    large = _minor_faults("count", "D_1ab", "100250000", "2", "2")
+    # 96 blocks of 2^19 words; a unit that allocated its arrays afresh took
+    # ~29k more faults than the small count (at 2^20 words), one set of buffers ~0.6k
+    small, _ = _cold_usage("count", "D_1ab", "1000", "2", "2")
+    large, _ = _cold_usage("count", "D_1ab", "100250000", "2", "2")
     assert large - small < 4096, (small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "wait4"),
+                    reason="reads peak RSS through os.wait4 on Linux")
+def test_a_large_count_peaks_within_its_segment_buffers():
+    # the 2^19-word buffers and the odd wheel put the large count ~2.2 MiB above
+    # the small one; the full wheel and 2^20-word buffers put it ~4.2 MiB above
+    _, small = _cold_usage("count", "D_1ab", "1000", "2", "2")
+    _, large = _cold_usage("count", "D_1ab", "100250000", "2", "2")
+    assert large - small < 3 * 1024, (small, large)

@@ -131,8 +131,9 @@ def test_kernel_matches_residual_oracle_on_tiny_ranges(lo, hi):
     _assert_kernel_matches_oracle(lo, hi)
 
 
-# SEGMENT_SIZE: one full-width segment (D_sr, sieve_omega) holds that many integers
-@pytest.mark.parametrize("size", [997, 4096, SEGMENT_SIZE])
+# SEGMENT_SIZE: one full-width segment (D_sr, sieve_omega) holds that many
+# integers; 2^20, twice that, is a range sieve_omega still sieves as one block
+@pytest.mark.parametrize("size", [997, 4096, SEGMENT_SIZE, 1 << 20])
 def test_kernel_matches_residual_oracle_per_segment_size(size):
     for lo in (2, 10**8 - size // 2):
         _assert_kernel_matches_oracle(lo, lo + size)
@@ -150,7 +151,7 @@ def test_odd_kernel_matches_residual_oracle(lo, hi):
     _assert_kernel_matches_oracle(lo, hi, step=2)
 
 
-@pytest.mark.parametrize("words", [7, 64, 1001, SEGMENT_SIZE])
+@pytest.mark.parametrize("words", [7, 64, 1001, SEGMENT_SIZE, 1 << 20])
 def test_odd_kernel_matches_residual_oracle_per_segment_size(words):
     for lo in (3, 10**8 + 1 - 2 * words):  # the second window ends at 1e8
         _assert_kernel_matches_oracle(lo, lo + 2 * words, step=2)
@@ -272,9 +273,55 @@ def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
     assert max(peaks) < 3 * 2**20, peaks
 
 
+def test_odd_wheel_is_the_odd_half_of_the_full_wheel():
+    # word of n: the words of every wheel prime power p^k dividing n, added up
+    n = np.arange(engine._WHEEL_PERIOD)
+    wheel = np.zeros(engine._WHEEL_PERIOD, dtype=np.uint16)
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 4):
+            if engine._WHEEL_PERIOD % p**k == 0:
+                wheel[n % p**k == 0] += engine._log_words(np.array([p]), k)[0]
+    assert np.array_equal(engine._wheel(), wheel)
+    assert np.array_equal(engine._wheel(2), wheel[1::2])
+
+
+def test_prime_headed_counts_cache_only_the_odd_wheel():
+    engine._wheel.cache_clear()
+    count_D_1ab(10**6, 2, 2)
+    count_pi_1ab(10**6, 1, 1)
+    assert engine._wheel.cache_info().currsize == 1
+    engine._wheel(2)  # a hit: the one entry is the step-2 wheel
+    assert engine._wheel.cache_info().currsize == 1
+
+
+def test_trial_omega_matches_the_oracle():
+    primes = primes_up_to(10**5)
+    for n in [*range(2, 3000), 10**10 - 2, 10**10 - 4, 2 * 99991**2, 9999999967, 2**33]:
+        assert engine._trial_omega(n, primes) == oracles.omega_trial(n), n
+
+
+@pytest.mark.parametrize("b", [2, 3])
+def test_even_prime_term_matches_full_array_reference(b):
+    # p = 2 is counted by trial division: Omega(8) = 3 sits between b = 2 and 3
+    for N in range(8, 201, 2):
+        for a in (1, 2, 3):
+            assert count_D_1ab(N, a, b).count == oracles.mirrored_count("D_1ab", N, a, b), N
+
+
 def test_vacuous_conditions_count_all_primes():
-    # with both factor budgets huge the triple condition is empty
-    assert count_pi_1ab(10_000, 40, 40).count == len(oracles.primes_below(10_000))
+    # with both factor budgets at their largest the triple condition is empty
+    assert count_pi_1ab(10_000, 33, 33).count == len(oracles.primes_below(10_000))
+
+
+def test_factor_budgets_above_33_are_rejected():
+    # Omega(n) <= 33 below 2^34, so a larger budget would count the same
+    assert count_D_sr(1000, 33, 33).count == count_D_sr(1000, 10, 10).count
+    with pytest.raises(DomainError, match="s must be <= 33"):
+        count_D_sr(10**6, 10**20, 1)
+    with pytest.raises(DomainError, match="b must be <= 33"):
+        count_pi_1ab(1000, 1, 34)
+    with pytest.raises(DomainError, match="r must be <= 33"):
+        ratio_scan("pi_1r", (2000,), [100, 1000])
 
 
 def test_count_monotonicity():
