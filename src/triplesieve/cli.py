@@ -201,8 +201,8 @@ def _cmd_functions(args: argparse.Namespace) -> int:
         row = {"function": args.which, "point": _fmt(point), "value": "", "error": ""}
         try:
             row["value"] = _fmt(fn(point))
-        except DomainError as exc:
-            row["error"] = str(exc)
+        except DomainError as exc:  # the point as given: 1e308 in six decimals has 309 digits
+            row["point"], row["error"] = repr(point), str(exc)
             failed = True
         rows.append(row)
     text = _render("functions", ["function", "point", "value", "error"], rows,

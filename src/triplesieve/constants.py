@@ -39,9 +39,6 @@ MIN_TOLERANCE = 1e-8
 TAIL_CEILING = 1e-6  # every result converges at least this far, whatever tol asks
 MAX_FACTORABLE_N = 10**12
 
-C0_BOUND = 0.00408
-E_BOUND = 0.00934
-L_BOUND = 0.04839
 W_TAIL_BOUND_FROM_4 = 0.5617
 W_TAIL_BOUND_FROM_3 = 0.5644
 
@@ -74,18 +71,34 @@ def _truncation_prime(tol: float) -> int:
     return P
 
 
+def _primes_above(q: int, P: int) -> np.ndarray:
+    """The primes q < p <= P, as a view of the cached table."""
+    p = primes_up_to(P)
+    return p[np.searchsorted(p, q, side="right") :]
+
+
+# The products work in place on one float64 array of the primes' size (C3 adds
+# one int64 numerator): the table holds ~34k primes at the default truncation,
+# and each array-sized temporary would add ~0.27 MB to a count's peak.
+
+
 def c3_partial(P: int) -> float:
     """Partial triple-pattern product truncated at p <= P (diagnostic)."""
-    p = primes_up_to(P)
-    p = p[p > 3].astype(np.float64)
-    return float(4.5 * np.exp(np.log1p(-(3 * p - 1) / (p - 1) ** 3).sum()))
+    p = _primes_above(3, P)
+    terms = np.subtract(p, 1, dtype=np.float64)
+    np.power(terms, 3, out=terms)  # (p - 1)^3
+    numerator = -3 * p
+    numerator += 1  # -(3p - 1), exact in int64 and as a float64
+    np.divide(numerator, terms, out=terms)
+    return float(4.5 * np.exp(np.log1p(terms, out=terms).sum()))
 
 
 def c2_partial(P: int) -> float:
     """Partial twin-pattern product truncated at p <= P (diagnostic)."""
-    p = primes_up_to(P)
-    p = p[p > 2].astype(np.float64)
-    return float(2.0 * np.exp(np.log1p(-1.0 / (p - 1) ** 2).sum()))
+    terms = np.subtract(_primes_above(2, P), 1, dtype=np.float64)
+    np.square(terms, out=terms)  # (p - 1)^2
+    np.divide(-1.0, terms, out=terms)
+    return float(2.0 * np.exp(np.log1p(terms, out=terms).sum()))
 
 
 @lru_cache(maxsize=8)

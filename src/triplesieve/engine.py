@@ -13,11 +13,14 @@ log n: one add per chunk carries it into the Omega field.  Segments are
 independent work units shared out over forked worker processes (the kernel's
 many short NumPy calls hold the GIL, so threads barely overlap); each worker
 sends back an integer sum, so results do not depend on the worker count.
-TRIPLESIEVE_THREADS sizes the workers, and where os.fork is missing every
-count runs serially in the calling process.  A count builds its prime powers
-and the scatter's plan once (_Plan) and sieves every segment in one set of
-buffers sized by its largest segment, so a segment allocates nothing of its
-own size: each worker faults its buffers in once, not once per segment.
+TRIPLESIEVE_THREADS sizes the workers.  With two or more, the calling process
+only coordinates: it forks every worker and adds their sums, and sieves
+nothing, so its own pages (numpy and the interpreter's code) never sit in one
+process with a set of segment buffers.  With one worker, or where os.fork is
+missing, a count runs serially in the calling process.  A count builds its
+prime powers and the scatter's plan once (_Plan) and sieves every segment in
+one set of buffers sized by its largest segment, so a segment allocates nothing
+of its own size: each worker faults its buffers in once, not once per segment.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -99,10 +102,11 @@ class TripleCountResult:
 
 
 def thread_count() -> int:
-    """Sieve workers for a count, the calling process included: TRIPLESIEVE_THREADS
-    if set, else the CPUs this process may run on.  The others are forked
-    processes; a count uses no more workers than os.cpu_count() or its segments,
-    and only the caller where os.fork is missing."""
+    """Sieve workers for a count: TRIPLESIEVE_THREADS if set, else the CPUs this
+    process may run on.  A count uses no more workers than os.cpu_count() or its
+    segments.  Two or more are forked processes, while the caller only
+    coordinates; one worker, or any count where os.fork is missing, is the
+    calling process itself."""
     env = os.environ.get("TRIPLESIEVE_THREADS", "").strip()
     if env:
         try:
@@ -429,21 +433,22 @@ def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
 
 def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
                 units: Sequence[tuple[int, int]], workers: int, length: int) -> np.ndarray:
-    """_unit_sum over units on workers processes: worker k takes units[k::workers].
+    """_unit_sum over units on workers forked processes: worker k takes units[k::workers].
 
-    The caller forks workers - 1 children, runs units[0::workers] itself, then
-    reads every child's partial sum and reaps it.  A child that exits non-zero,
-    dies by a signal or sends short data raises RuntimeError; on any exception
-    the children left are killed and reaped.
+    The caller only coordinates: it forks every worker, then reads each one's
+    partial sum and reaps it, and sieves nothing itself, so no set of segment
+    buffers is faulted in beside the code pages only it has mapped.  A worker
+    that exits non-zero, dies by a signal or sends short data raises
+    RuntimeError; on any exception the workers left are killed and reaped.
     """
     children: dict[int, BinaryIO] = {}  # pid -> its pipe
     try:
-        for k in range(1, workers):
+        for k in range(workers):
             pid, pipe = _fork_worker(work, units[k::workers], length)
             children[pid] = pipe
-        total = _unit_sum(work, units[0::workers], length)
+        total = np.zeros(length, dtype=np.int64)
         for pid, pipe in list(children.items()):
-            data = pipe.read()  # to the end: the child has exited or closed its end
+            data = pipe.read()  # to the end: the worker has exited or closed its end
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             pipe.close()

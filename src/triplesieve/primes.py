@@ -21,4 +21,4 @@ def primes_up_to(n: int) -> np.ndarray:
     for p in range(2, int(n**0.5) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)  # intp: no copy on 64-bit

@@ -162,6 +162,17 @@ def test_functions_out_of_domain_marks_row_and_exits_two(capsys):
     assert rows[1]["value"] == "" and rows[1]["error"] != ""
 
 
+def test_functions_echoes_an_out_of_domain_point_as_given(capsys):
+    # in six decimals 1e308 would be a 309-digit point; in-domain rows keep them
+    code, out, _ = run_cli(capsys, "functions", "w", "--points", "1e308,3", "--no-timestamp")
+    assert code == 2
+    assert out == (
+        "function,point,value,error\n"
+        'w,1e+308,,"w is tabulated on 1 <= u <= 64.0, got 1e+308"\n'
+        "w,3.000000,0.564382,\n"
+    )
+
+
 def test_functions_rejects_non_numeric_point(capsys):
     code, out, err = run_cli(capsys, "functions", "w", "--points", "3,abc", "--no-timestamp")
     assert code == 1
@@ -543,10 +554,10 @@ _LAUNCH = (
 )
 
 
-def _cold_usage(*argv):
-    """Minor faults and peak RSS (KiB) of one cold CLI run on one sieve worker."""
+def _cold_usage(*argv, workers=1):
+    """Minor faults and peak RSS (KiB) of one cold CLI run on `workers` sieve workers."""
     env = {**os.environ, "PYTHONPATH": str(Path(triplesieve.__file__).parent.parent),
-           "TRIPLESIEVE_THREADS": "1"}
+           "TRIPLESIEVE_THREADS": str(workers)}
     run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, "-m", "triplesieve",
                           *argv], env=env, capture_output=True, text=True, check=True)
     status, faults, peak = map(int, run.stdout.split())
@@ -572,3 +583,15 @@ def test_a_large_count_peaks_within_its_segment_buffers():
     _, small = _cold_usage("count", "D_1ab", "1000", "2", "2")
     _, large = _cold_usage("count", "D_1ab", "100250000", "2", "2")
     assert large - small < 3 * 1024, (small, large)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "wait4")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="reads peak RSS through os.wait4 on Linux, with two CPUs to fork for")
+def test_a_forked_count_peaks_no_higher_than_a_one_unit_count():
+    # ru_maxrss is the largest single process.  The one-unit count sieves in the
+    # caller; the large one forks two workers and its caller sieves nothing.  A
+    # caller that sieved a share as well put the large count ~2.3 MiB higher
+    _, small = _cold_usage("count", "D_1ab", "1000", "2", "2", workers=2)
+    _, large = _cold_usage("count", "D_1ab", "100250000", "2", "2", workers=2)
+    assert large - small <= 512, (small, large)

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import time
 import tracemalloc
 import warnings
 
@@ -373,7 +374,7 @@ def test_thread_count_invariance(monkeypatch, forks):
         monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
         assert thread_count() == workers
         counts[workers] = _every_kind(x)
-        assert len(forks) == 6 * (workers - 1)  # six counts, workers - 1 children each
+        assert len(forks) == (6 * workers if workers > 1 else 0)  # six counts, W workers each
         forks.clear()
     monkeypatch.delattr(os, "fork")  # platforms without fork count serially
     assert _every_kind(x) == counts[3] == counts[2] == counts[1]
@@ -385,7 +386,33 @@ def test_forks_never_exceed_the_cpu_count(monkeypatch, forks):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
     count_pi_1ab(200_000, 1, 1)
-    assert len(forks) == 1
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
+    # the caller only forks and adds: every block is sieved in a worker
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    serial = _every_kind(200_000)
+    caller, kernel = os.getpid(), engine._omega_block
+    read, write = os.pipe()
+
+    def recorded(*args, **kwargs):  # each process that sieves writes its pid to the pipe
+        os.write(write, f"{os.getpid()}\n".encode())
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_omega_block", recorded)
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
+    try:
+        assert _every_kind(200_000) == serial
+    finally:
+        os.close(write)
+        with open(read, "rb") as pipe:
+            sievers = {int(pid) for pid in pipe.read().split()}
+    assert sievers and caller not in sievers
+    _no_child_left()
 
 
 def _no_child_left():
@@ -400,26 +427,39 @@ def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, failur
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
-    # of the units at lo = 3, 3 + 2^15, .., the caller sieves the even-numbered ones
-    failing_lo = 3 if failure == "caller is interrupted" else 3 + 2**15
-    caller, kernel = os.getpid(), engine._omega_block
+    # of the units at lo = 3, 3 + 2^15, .., the second worker sieves the odd-numbered ones
+    caller, kernel, waitpid = os.getpid(), engine._omega_block, os.waitpid
+    reaped = []  # exit codes of the workers the caller reaps once interrupted
 
     def failing(lo, *args, **kwargs):
-        if lo == failing_lo and failure != "child is killed at exit":
+        if lo == 3 + 2**15 and failure == "caller is interrupted":
+            time.sleep(10)  # still sieving when the caller is interrupted: it must be killed
+        elif lo == 3 + 2**15 and failure != "child is killed at exit":
             if failure == "child is killed" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise KeyboardInterrupt if failure == "caller is interrupted" else ValueError("injected")
+            raise ValueError("injected")
         return kernel(lo, *args, **kwargs)
 
-    def killed_at_exit(status):  # only the child leaves by os._exit, after its whole sum
+    def killed_at_exit(status):  # only a worker leaves by os._exit, after its whole sum
         os.kill(os.getpid(), signal.SIGKILL)
+
+    def recorded(pid, options):
+        pid, status = waitpid(pid, options)
+        reaped.append(os.waitstatus_to_exitcode(status))
+        return pid, status
+
+    def interrupted(pid, options):  # the caller, waiting on its first worker
+        monkeypatch.setattr(os, "waitpid", recorded)
+        raise KeyboardInterrupt
 
     monkeypatch.setattr(engine, "_omega_block", failing)
     if failure == "child is killed at exit":
         monkeypatch.setattr(os, "_exit", killed_at_exit)
     if failure == "caller is interrupted":
+        monkeypatch.setattr(os, "waitpid", interrupted)
         with pytest.raises(KeyboardInterrupt):
             count_pi_1ab(200_000, 2, 2)
+        assert reaped == [0, -signal.SIGKILL]  # the first worker had finished
     else:
         status = 1 if failure == "child raises" else -signal.SIGKILL
         sent = 8 if failure == "child is killed at exit" else 0
@@ -453,7 +493,7 @@ def test_only_the_threaded_fork_warning_is_ignored(monkeypatch, message):
     else:  # under filterwarnings = error any other warning still fails
         with pytest.raises(DeprecationWarning, match=message):
             count_pi_1ab(200_000, 2, 2)
-    assert len(calls) == 1
+    assert len(calls) == (2 if message == _FORK_WARNING else 1)  # the other stops the first fork
     _no_child_left()
 
 
