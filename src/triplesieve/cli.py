@@ -17,6 +17,7 @@ or I/O failure, 2 flagged rows / out-of-domain points.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -25,6 +26,7 @@ import sys
 import tempfile
 from collections.abc import Callable
 from datetime import datetime, timezone
+from typing import NoReturn
 
 # pipeline and sieve_functions (and json) are imported by the commands that use
 # them, so that count and ratio load only the engine
@@ -60,6 +62,8 @@ def _render(command: str, columns: list[str], rows: list[dict[str, str]],
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
+        if sys.stdout is None:  # started with its stdout closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
@@ -299,5 +303,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m triplesieve`` and the console script.
+
+    Exits with main's code, or argparse's, once stdout and stderr are flushed.
+    A stream that fails only at the flush (a full disk, a pipe whose reader has
+    gone) makes the code 1, with an i/o error line."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: a usage error exits 1, --help 0
+        code = exc.code or 0
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # stderr may be what failed
+            os.write(2, f"i/o error: {exc}\n".encode())
+        code = 1
+    # Leave without interpreter finalisation: its last garbage-collection pass over
+    # every numpy object and the module teardown only free memory, which the kernel
+    # takes back at exit anyway.  Nothing is left to close: forked workers are
+    # reaped, --out is written and closed, and the package registers no atexit
+    # handler.  An exception that escapes main propagates and never gets here.
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,37 @@ from triplesieve.constants import (
 )
 from triplesieve.errors import CapacityError, DomainError
 from triplesieve.pipeline import load_manifest
+from triplesieve.primes import primes_up_to
 from triplesieve.quadrature import ChainFamily, chain_value
 
 import oracles
+
+
+# ---------------------------------------------------------------------------
+# The prime table
+# ---------------------------------------------------------------------------
+
+
+def _full_width_primes(n):
+    """The reference: Eratosthenes over every n, where primes_up_to sieves the odd n."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10**4, 10**5, 10**5 + 3, 4 * 10**5])
+def test_prime_table_matches_a_full_width_sieve(n):
+    table = primes_up_to(n)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, _full_width_primes(n))
+
+
+def test_small_prime_tables_match_trial_division():
+    for n in range(-1, 80):
+        assert primes_up_to(n).tolist() == oracles.primes_below(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +69,6 @@ def test_partial_products_decrease():
 
 
 def test_every_product_factor_in_unit_interval():
-    from triplesieve.primes import primes_up_to
-
     p = primes_up_to(10_000).astype(float)
     triple = 1 - (3 * p[p > 3] - 1) / (p[p > 3] - 1) ** 3
     twin = 1 - 1 / (p[p > 2] - 1) ** 2
