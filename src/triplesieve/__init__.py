@@ -28,10 +28,7 @@ _EXPORTS = {
         "BoundTerm", "CombinedBounds", "combine_lemma31", "term_coefficient",
         "upper_bound_constant", "verification_report",
     ),
-    "quadrature": (
-        "ChainFamily", "IntegralSpec", "chain_value", "integrate_1d", "integrate_nested",
-        "named_integral_value",
-    ),
+    "quadrature": ("IntegralSpec", "integrate_nested", "named_integral_value"),
     "reporting": ("ConstantCheck",),
     "sieve_functions": (
         "buchstab_w", "lower_f0", "upper_F0", "verify_buchstab_bounds",

@@ -245,6 +245,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse drops an OSError from this write, which with unbuffered streams
+        # would make --help into a full stdout exit 0; main reports it instead
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -291,15 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (DomainError, CapacityError, EvaluationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stderr.write(parser.format_usage())
         return 1
     except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
+        with contextlib.suppress(OSError):  # stderr may be what failed
+            sys.stderr.write(f"i/o error: {exc}\n")
         return 1
 
 

@@ -20,16 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
-
-if TYPE_CHECKING:
-    from .quadrature import ChainFamily
 
 # quadrature and sieve_functions are imported inside C0, E and L: the counting
 # engine needs only the Euler products and C(N)
@@ -139,14 +135,13 @@ def singular_series_CN(N: int, tol: float = 1e-6) -> float:
     return scale * constant_C2(tol).value / 2.0
 
 
-@lru_cache(maxsize=4)
-def constant_C0(family: ChainFamily | None = None) -> float:
-    """Sum of the chain densities c_k over 15 <= k <= 199 (bounded by 0.00408);
-    the family defaults to ChainFamily()."""
-    from .quadrature import CHAIN_K_MAX, CHAIN_K_MIN, ChainFamily, chain_value
+@cache
+def constant_C0() -> float:
+    """C0 = sum of the chain densities c_k over 15 <= k <= 199 (bounded by
+    0.00408), read off the chain table as A_13(199) + T(199)."""
+    from .quadrature import chain_table
 
-    family = ChainFamily() if family is None else family
-    return sum(chain_value(family, k) for k in range(CHAIN_K_MIN, CHAIN_K_MAX + 1))
+    return float(chain_table()[-2:, -1].sum())
 
 
 @lru_cache(maxsize=8)

@@ -26,11 +26,9 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import constants
 from .errors import DomainError
-from .quadrature import integrate_1d, named_integral_value
+from .quadrature import log_basic_integral, log_shift_integral, named_integral_value
 from .reporting import ConstantCheck, make_check
 from .sieve_functions import lower_f0, upper_F0
 
@@ -124,14 +122,9 @@ def _extra_value(extra: dict) -> float:
     if kind == "const":
         return float(Fraction(extra["value"]))
     if kind == "log_basic_integral":
-        return integrate_1d(
-            lambda t: np.log(t - 1.0) / t, extra["a"], extra["b"], 1e-10
-        )
+        return log_basic_integral(extra["a"], extra["b"])
     if kind == "log_shift_integral":
-        c, d = extra["c"], extra["d"]
-        return integrate_1d(
-            lambda t: np.log(c - d / (t + 1.0)) / t, extra["a"], extra["b"], 1e-10
-        )
+        return log_shift_integral(extra["c"], extra["d"], extra["a"], extra["b"])
     if kind == "op":
         try:
             return _OPS[extra["name"]]()

@@ -1,122 +1,104 @@
-"""Adaptive 1-D quadrature, nested iterated integrals, and the 1-D chain recursion.
+"""Closed-form 1-D integrals, nested iterated integrals, and one unit-delay integrator.
 
 Three layers live here:
 
-* ``integrate_1d`` — adaptive Gauss–Kronrod (G7/K15) bisection with an absolute
-  error target.  Kernels must be numpy-vectorized over the node array.
+* ``log_basic_integral`` and ``log_shift_integral`` — the 1-D log integrals in
+  closed form over the real dilogarithm ``_li2``; in particular
+  A_1(v) = int_2^v log(t-1)/t dt = log(v-1) log v + Li2(1-v) + pi^2/12.
 * ``integrate_nested`` — iterated integrals of depth 1..4 whose limits are
   functions of the outer variables.  Evaluated as a tensor-product
   Gauss–Legendre rule, refined on a node ladder until two successive
   evaluations agree to the spec tolerance.  Empty ranges (upper <= lower)
   contribute exactly 0.
-* ``chain_value`` — the recursive family A_1(v) = int_2^v log(t-1)/t dt,
-  A_j(v) = int_{j+1}^v A_{j-1}(t-1)/t dt, memoized on a uniform grid; each
-  level is a cumulative trapezoid with two Euler–Maclaurin end corrections
-  (error O(h^6)).  ``chain_value(family, k)`` returns
-  c_k = A_{k-2}(top), the density coefficient for integers with exactly k
-  large prime factors.
+* ``_unit_delay`` — curves that are constant on [1, 2] and above it solve a
+  delay system y'(t) = slope(t-1, y(t-1)), integrated one unit block at a time
+  on a uniform grid: each block is its left-end value plus the Euler–Maclaurin
+  cumulative integral (error O(h^6)) of its slopes, all curves in one step.
+  The sieve curves of ``sieve_functions`` run on it, and so does the chain
+  A_j(v) = int_{j+1}^v A_{j-1}(t-1)/t dt (j >= 2) behind the density
+  coefficients c_k = A_{k-2}(199) of integers with exactly k large prime
+  factors: ``chain_table`` carries A_2 .. A_13 and the tail
+  T = sum_{j>=14} A_j, which solves T'(t) = (A_13(t-1) + T(t-1))/t, so that
+  c_15 = A_13(199) and C0 = sum_{15<=k<=199} c_k = A_13(199) + T(199).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-# ---------------------------------------------------------------------------
-# Gauss–Kronrod 7/15 pair (nodes descending, standard tabulated values)
-# ---------------------------------------------------------------------------
-
-_XGK = np.array([
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
-])
-_WGK = np.array([
-    0.0229353220105292, 0.0630920926299785, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-])
-_WG = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694,
-])
-
-# ascending 15-node layout; the embedded 7-point Gauss rule sits at odd indices
-_NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[-2::-1]])
-_KRONROD_W = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
-_GAUSS_IDX = np.arange(1, 14, 2)
-_GAUSS_W = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
-
 Kernel = Callable[..., np.ndarray]
 Limit = Union[float, Callable[..., np.ndarray]]
 
+# ---------------------------------------------------------------------------
+# The 1-D log integrals in closed form
+# ---------------------------------------------------------------------------
 
-def _kernel_values(kernel: Kernel, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(kernel(x), dtype=float)
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
-    return y
+_PI2_6 = math.pi**2 / 6
+_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)
+# Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u = -log(1-x); on
+# [-1, 1/2], |u| <= log 2 and these nine terms reach 1e-17 (highest first)
+_LI2_SERIES = [b / math.factorial(2 * k + 1) for k, b in enumerate(_B2K, 1)][::-1]
 
 
-def integrate_1d(
-    kernel: Kernel,
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    *,
-    max_intervals: int = 4096,
-) -> float:
-    """Integrate ``kernel`` over [a, b] to absolute accuracy ``tol``.
+def _li2(x: np.ndarray | float) -> np.ndarray:
+    """The dilogarithm Li2(x) = -int_0^x log(1-s)/s ds for real x <= 1.
 
-    Bisects the interval with the largest Kronrod-minus-Gauss error estimate
-    until the summed estimate drops below ``tol``.  A reversed interval
-    (a > b) is a domain error.  Non-finite kernel values raise EvaluationError.
+    The series in u serves [-1, 1/2]; inversion below -1 and reflection above
+    1/2 bring the rest there.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"non-finite integration limits [{a}, {b}]")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    if a == b:
-        return 0.0
-    if a > b:
-        raise DomainError(f"reversed interval [{a}, {b}]")
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    if not x.size:
+        return out
+    inv, refl = x < -1.0, x > 0.5
+    z = x[inv]
+    out[inv] = -_PI2_6 - 0.5 * np.log(-z) ** 2 - _li2(1.0 / z)
+    z = x[refl]
+    # log(z) = 0 at z = 1, where log(1-z) would be -inf
+    log1mz = np.log1p(-np.minimum(z, np.nextafter(1.0, 0.0)))
+    out[refl] = _PI2_6 - np.log(z) * log1mz - _li2(1.0 - z)
+    series = ~(inv | refl)
+    u = -np.log1p(-x[series])
+    u2 = u * u
+    out[series] = u - 0.25 * u2 + u * u2 * np.polyval(_LI2_SERIES, u2)
+    return out
 
-    def rule(lo: float, hi: float) -> tuple[float, float]:
-        half = 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi) + half * _NODES
-        y = _kernel_values(kernel, x)
-        if not np.isfinite(y).all():
-            bad = x[~np.isfinite(y)][0]
-            raise EvaluationError(f"kernel non-finite at t={bad!r} inside [{lo}, {hi}]")
-        ik = half * float(y @ _KRONROD_W)
-        ig = half * float(y[_GAUSS_IDX] @ _GAUSS_W)
-        return ik, abs(ik - ig)
 
-    val, err = rule(a, b)
-    heap = [(-err, a, b, val, err)]
-    total, total_err = val, err
-    while total_err > tol:
-        if len(heap) >= max_intervals:
-            raise EvaluationError(
-                f"integrate_1d failed to reach tol={tol} on [{a}, {b}] "
-                f"after {len(heap)} subintervals"
-            )
-        _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = rule(lo, mid)
-        v2, e2 = rule(mid, hi)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    return total
+def _A1(v: np.ndarray | float) -> np.ndarray:
+    """A_1(v) = int_2^v log(t-1)/t dt, and 0 for v <= 2."""
+    w = np.maximum(v, 2.0)
+    return np.where(v > 2.0, np.log(w - 1.0) * np.log(w) + _li2(1.0 - w) + 0.5 * _PI2_6, 0.0)
+
+
+def log_basic_integral(a: float, b: float) -> float:
+    """int_a^b log(t-1)/t dt = A_1(b) - A_1(a), for 2 <= a <= b."""
+    if not 2.0 <= a <= b < math.inf:
+        raise DomainError(f"log_basic_integral needs finite 2 <= a <= b, got [{a}, {b}]")
+    lo, hi = _A1(np.array([a, b]))
+    return float(hi - lo)
+
+
+def log_shift_integral(c: float, d: float, a: float, b: float) -> float:
+    """int_a^b log(c - d/(t+1))/t dt, for 0 < a <= b, c > 0 and c(a+1) > d.
+
+    Writing c - d/(t+1) = (ct + c - d)/(t+1), the antiderivative is
+    log^2(ct)/2 + Li2((d-c)/(ct)) + Li2(-t).
+    """
+    if not (0.0 < a <= b < math.inf and 0.0 < c < math.inf and -math.inf < d < c * (a + 1.0)):
+        raise DomainError(
+            f"log_shift_integral needs finite 0 < a <= b, c > 0 and c(a+1) > d, "
+            f"got c={c}, d={d} on [{a}, {b}]"
+        )
+    t = np.array([a, b])
+    F = 0.5 * np.log(c * t) ** 2 + _li2((d - c) / (c * t)) + _li2(-t)
+    return float(F[1] - F[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +144,7 @@ class IntegralSpec:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _tensor_value(spec: IntegralSpec, n: int) -> float:
@@ -350,58 +331,8 @@ def fourfold_with_buchstab(w_of_u: Kernel, name: str = "L.quadruple") -> Integra
 
 
 # ---------------------------------------------------------------------------
-# Chain recursion for the k-large-prime-factor densities c_k
+# The unit-delay integrator, and the chain of k-large-prime-factor densities
 # ---------------------------------------------------------------------------
-
-_CHAIN_KERNELS: dict[str, Kernel] = {
-    "log(t-1)/t": lambda t: np.log(t - 1.0) / t,
-}
-
-CHAIN_K_MIN, CHAIN_K_MAX = 15, 199
-
-
-@dataclass(frozen=True)
-class ChainFamily:
-    """Defines the nested family A_j: base kernel, unit-stepped lower limits, cap.
-
-    Level j integrates from ``first_lower + (j - 1)`` (i.e. 2, 3, 4, ... for
-    the default), shifted-composed with the previous level:
-    A_j(v) = int_{j+1}^v A_{j-1}(t - 1)/t dt.
-    """
-
-    base_kernel: str = "log(t-1)/t"
-    first_lower: float = 2.0
-    top_limit: float = 199.0
-    grid_step: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.base_kernel not in _CHAIN_KERNELS:
-            raise DomainError(f"unknown chain kernel {self.base_kernel!r}")
-        if not self.top_limit > self.first_lower:
-            raise DomainError("top_limit must exceed first_lower")
-        per_unit = 1.0 / self.grid_step
-        if abs(per_unit - round(per_unit)) > 1e-9:
-            raise DomainError("grid_step must divide 1 exactly (the levels shift by 1)")
-        span = (self.top_limit - self.first_lower) / self.grid_step
-        if abs(span - round(span)) > 1e-9:
-            raise DomainError("grid_step must divide top_limit - first_lower exactly")
-
-    def level_lower(self, j: int) -> float:
-        return self.first_lower + (j - 1)
-
-
-def _cumulative_kernel(kernel: Kernel, grid: np.ndarray) -> np.ndarray:
-    """Antiderivative of an analytic kernel at the grid nodes (per-interval GL5)."""
-    x5, w5 = _leggauss(5)
-    lo = grid[:-1]
-    half = 0.5 * np.diff(grid)
-    pts = lo[:, None] + half[:, None] * (x5 + 1.0)
-    panel = (kernel(pts) * w5).sum(axis=1) * half
-    out = np.empty_like(grid)
-    out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
-    return out
-
 
 # finite-difference weights on equally spaced nodes: row i is the derivative at
 # node i from the first len(row) nodes; the last row is the central stencil
@@ -420,72 +351,92 @@ _D3_STENCILS = np.array([  # h^3 g''' from 7 nodes
 
 
 def _odd_derivative(y: np.ndarray, stencils: np.ndarray) -> np.ndarray:
-    """An odd-order derivative of the samples y, per unit node spacing.
+    """An odd-order derivative of the samples y (along the last axis), per unit
+    node spacing.
 
     The central stencil serves the interior; the first and last nodes take
     one-sided stencils of the same size (mirrored at the top end, where the
     odd order flips the sign).
     """
-    r, m = stencils.shape[0] - 1, stencils.shape[1]
-    out = np.empty_like(y)
-    out[r:-r] = np.correlate(y, stencils[r], "valid")
-    for i, w in enumerate(stencils[:r]):
-        out[i] = w @ y[:m]
-        out[-1 - i] = -(w @ y[::-1][:m])
-    return out
+    r = stencils.shape[0] - 1
+    windows = np.lib.stride_tricks.sliding_window_view(y, stencils.shape[1], axis=-1)
+    head = windows[..., 0, :] @ stencils[:r].T
+    tail = windows[..., -1, ::-1] @ stencils[:r].T
+    return np.concatenate((head, windows @ stencils[r], -tail[..., ::-1]), axis=-1)
 
 
 def _cumulative_euler_maclaurin(g: np.ndarray, h: float) -> np.ndarray:
-    """int_a^v g(t) dt at every node v of a uniform grid of step h from a.
+    """int_a^v g(t) dt at every node v of a uniform grid of step h from a, for
+    each row of g (along the last axis).
 
     A(v) = T(v) - h^2/12 (g'(v) - g'(a)) + h^4/720 (g'''(v) - g'''(a)), with T
     the cumulative trapezoid: two Euler–Maclaurin terms, so the error is
     O(h^6), led by -h^6/30240 (g^(5)(v) - g^(5)(a)).  g' and g''' are 7-point
     differences on the nodes, whose errors (O(h^6) and O(h^4)) enter A at
-    O(h^8).  Fewer than 7 nodes take the plain trapezoid.
+    O(h^8).  Needs at least 7 nodes.
     """
     out = np.zeros_like(g)
-    np.cumsum(0.5 * h * (g[:-1] + g[1:]), out=out[1:])
-    if len(g) >= _D1_STENCILS.shape[1]:
-        d1 = _odd_derivative(g, _D1_STENCILS) / h
-        d3 = _odd_derivative(g, _D3_STENCILS) / h**3
-        out += h**4 / 720.0 * (d3 - d3[0]) - h * h / 12.0 * (d1 - d1[0])
-    return out
+    np.cumsum(0.5 * h * (g[..., :-1] + g[..., 1:]), axis=-1, out=out[..., 1:])
+    # both terms from one stencil: h g' weighs -h/12 and h^3 g''' weighs h/720
+    em = _odd_derivative(g, h / 720.0 * _D3_STENCILS - h / 12.0 * _D1_STENCILS)
+    return out + (em - em[..., :1])
 
 
-@lru_cache(maxsize=4)
-def _chain_levels(family: ChainFamily) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Grid and A_j values for every level the family supports."""
-    step = family.grid_step
-    n = int(round((family.top_limit - family.first_lower) / step)) + 1
-    grid = np.linspace(family.first_lower, family.top_limit, n)
-    shift = int(round(1.0 / step))
-    kernel = _CHAIN_KERNELS[family.base_kernel]
+def _unit_delay(
+    start: tuple[float, ...],
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    top: int,
+    step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and slopes of curves y (one row each) on the nodes of [1, top].
 
-    levels: dict[int, np.ndarray] = {1: _cumulative_kernel(kernel, grid)}
-    j = 2
-    while family.level_lower(j) < family.top_limit:
-        prev = levels[j - 1]
-        g = np.zeros(n)
-        g[shift:] = prev[:-shift] / grid[shift:]
-        i0 = int(round((family.level_lower(j) - family.first_lower) / step))
-        vals = np.zeros(n)
-        # the rule runs on the level's own nodes [i0, n), where g is smooth:
-        # no stencil reaches the zeros below the lower limit
-        vals[i0:] = _cumulative_euler_maclaurin(g[i0:], step)
-        levels[j] = vals
-        j += 1
-    return grid, levels
+    y = start on [1, 2]; above 2, y'(t) = slope(t - 1, y(t - 1)), where slope
+    maps one unit block's nodes and values to the slopes one unit later.  1/step
+    must be an integer, so that t - 1 is a node.  The curves may have kinks at
+    the integers only, which are block ends; the slope at an integer node is
+    the right-hand one.
+    """
+    per_unit = round(1 / step)
+    n = (top - 1) * per_unit + 1
+    t = 1.0 + step * np.arange(n)
+    y = np.outer(start, np.ones(n))  # the loop overwrites every block above 2
+    dy = np.zeros_like(y)
+    # the block integral is linear in the slopes: row i is the integral of the
+    # i-th unit vector, so a block's integrals are its slopes times this matrix
+    weights = _cumulative_euler_maclaurin(np.eye(per_unit + 1), step)
+    for lo in range(per_unit, n - 1, per_unit):
+        block, prev = slice(lo, lo + per_unit + 1), slice(lo - per_unit, lo + 1)
+        dy[:, block] = slope(t[prev], y[:, prev])
+        y[:, block] = y[:, lo, None] + dy[:, block] @ weights
+    return y, dy
+
+
+CHAIN_K_MIN = 15
+CHAIN_TOP = 199
+CHAIN_STEP = 0.01
+
+
+class ChainFamily:
+    """The chain A_1(v) = int_2^v log(t-1)/t dt, A_j(v) = int_{j+1}^v A_{j-1}(t-1)/t dt,
+    read at v = 199: a name without parameters, which ``chain_value`` takes."""
+
+
+@cache
+def chain_table() -> np.ndarray:
+    """A_2, ..., A_13 and T = sum_{j>=14} A_j (rows) on the nodes of [1, 199],
+    step 0.01, fed by the closed-form A_1."""
+    # A_1 on every unit block [m, m+1] (row m - 1) in one evaluation
+    a1 = _A1(np.arange(1, CHAIN_TOP)[:, None] + CHAIN_STEP * np.arange(round(1 / CHAIN_STEP) + 1))
+    return _unit_delay(
+        (0.0,) * 13,
+        lambda u, y: np.vstack((a1[round(u[0]) - 1], y[:-2], y[-2] + y[-1])) / (u + 1.0),
+        CHAIN_TOP,
+        CHAIN_STEP,
+    )[0]
 
 
 def chain_value(family: ChainFamily, k: int) -> float:
-    """c_k = A_{k-2}(top_limit) for k in [15, 199]."""
-    if not CHAIN_K_MIN <= k <= CHAIN_K_MAX:
-        raise DomainError(f"k must lie in [{CHAIN_K_MIN}, {CHAIN_K_MAX}], got {k}")
-    if k - 1 > family.top_limit:
-        return 0.0  # outer range [k-1, top] is empty
-    _, levels = _chain_levels(family)
-    level = levels.get(k - 2)
-    if level is None:
-        return 0.0
-    return float(level[-1])
+    """c_k = A_{k-2}(199) for k = 15, the one density the table keeps apart."""
+    if k != CHAIN_K_MIN:
+        raise DomainError(f"only c_{CHAIN_K_MIN} is tabulated, got k = {k}")
+    return float(chain_table()[-2, -1])

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own numerical paths:
 trial division instead of sieves, a residual-division Omega sieve instead of
 the wheel and log-sum kernel, composite Simpson / midpoint cubature instead of
-the adaptive and tensor integrators, a chain recursion whose trapezoid
+the tensor integrator, numerical quadrature in ``mpmath`` instead of the
+closed forms over the dilogarithm, a chain recursion whose trapezoid
 correction takes analytic derivatives (from the recursion itself) instead of
 the package's differenced ones, on its own grid, and the piecewise closed
 forms of the sieve curves in ``mpmath`` instead of the unit-delay table.  Two
@@ -16,6 +17,7 @@ own checkpoint counts.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -206,8 +208,10 @@ def midpoint_3d(lo1, hi1, lo2, hi2, lo3, hi3, kernel, n: int = 100) -> float:
     return total * (hi1 - lo1) / n
 
 
-def chain_density_sum(h: float = 0.01) -> float:
-    """C0 = sum of c_k = A_{k-2}(199) over 15 <= k <= 199, without the package.
+@cache
+def chain_density_sum(h: float = 0.01) -> tuple[float, float]:
+    """C0 = sum of c_k = A_{k-2}(199) over 15 <= k <= 199, and c_15 = A_13(199),
+    without the package.
 
     A_1(v) = int_2^v log(t-1)/t dt and A_j(v) = int_{j+1}^v A_{j-1}(t-1)/t dt.
     Each level is a cumulative trapezoid on a uniform grid of step h (1/h an
@@ -221,7 +225,7 @@ def chain_density_sum(h: float = 0.01) -> float:
     t = 2.0 + h * np.arange(n)
     g = np.log(t - 1.0) / t
     dg = 1.0 / ((t - 1.0) * t) - np.log(t - 1.0) / t**2
-    total = 0.0
+    total = c15 = 0.0
     for j in range(1, 198):  # level j starts at j + 1 < 199
         i0 = (j - 1) * shift
         A = np.zeros(n)
@@ -229,11 +233,13 @@ def chain_density_sum(h: float = 0.01) -> float:
         A[i0:] -= h * h / 12.0 * (dg[i0:] - dg[i0])
         if j + 2 >= 15:
             total += float(A[-1])
+        if j + 2 == 15:
+            c15 = float(A[-1])
         g_prev, A_prev = np.zeros(n), np.zeros(n)
         g_prev[shift:], A_prev[shift:] = g[:-shift], A[:-shift]
         dg = g_prev / t - A_prev / t**2
         g = A_prev / t
-    return total
+    return total, c15
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +301,9 @@ def w_closed(u: float) -> float:
         if u <= 4:
             return float(_W3(u) / u)
         return float((_W3(4) + mpmath.quad(lambda t: _W3(t - 1) / (t - 1), [4, u])) / u)
+
+
+def quad(f, a: float, b: float) -> float:
+    """int_a^b f(t) dt by mpmath's tanh-sinh quadrature at 30 digits (f takes mpf)."""
+    with mpmath.workdps(30):
+        return float(mpmath.quad(f, [a, b]))

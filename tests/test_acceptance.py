@@ -164,7 +164,7 @@ def test_acceptance_06_auxiliary_constants():
     # 0.00408 is the paper's upper constant for C0, not a value of it: C0 is
     # held to an independent recursion, and the published S73 and S74 are
     # what 0.00408 gives in their place
-    c0_oracle = oracles.chain_density_sum(h=0.01)
+    c0_oracle, _ = oracles.chain_density_sum(h=0.01)
     if not abs(c0 - c0_oracle) <= 1e-9:
         failures.append(
             f"C0={c0:.12f} differs from the independent chain recursion "
@@ -186,7 +186,7 @@ def test_acceptance_06_auxiliary_constants():
         f"{failures or 'all hold'}",
     )
     assert not failures, (
-        f"{failures}; C0 is the chain-density sum of the ChainFamily and "
+        f"{failures}; C0 is the chain-density sum of the quadrature and "
         "constant_C0 docstrings (the paper's abstract does not define it), "
         "and 0.00408 is its published upper constant"
     )

@@ -186,7 +186,7 @@ def test_constants_default_set(capsys):
     assert code == 0
     assert [r["label"] for r in rows] == ["C2", "C3", "C0"]
     assert rows[0]["value"] == "1.32032387005627"  # 15 significant digits
-    assert rows[2]["value"] == "0.00388643963860992"
+    assert rows[2]["value"] == "0.00388643963822591"
     # the cubic-spline chain gave 0.00388643967868121; C0 must stay within 1e-10
     assert abs(float(rows[2]["value"]) - 0.00388643967868121) < 1e-10
     assert int(rows[1]["truncation_prime"]) >= 100_000
@@ -585,6 +585,19 @@ def _assert_io_error(done):
 def test_a_full_stdout_exits_one():
     with open("/dev/full", "w") as full:
         _assert_io_error(_run_buffered("count", "pi_1ab", "1000", "1", "1", stdout=full))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("entry", [("-m", "triplesieve"),
+                                   ("-c", "from triplesieve.cli import run; run()")])
+def test_help_to_a_full_unbuffered_stdout_exits_one(entry):
+    # unbuffered, the help text fails at argparse's own write, not at the flush
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(triplesieve.__file__).parent.parent))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, *entry, "--help"], env=env, stdout=full,
+                              stderr=subprocess.PIPE, timeout=120)
+    _assert_io_error(done)
 
 
 def test_a_stdout_pipe_closed_by_its_reader_exits_one():

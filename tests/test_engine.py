@@ -314,6 +314,18 @@ def test_vacuous_conditions_count_all_primes():
     assert count_pi_1ab(10_000, 33, 33).count == len(oracles.primes_below(10_000))
 
 
+def test_exact_counts_at_1e9_match_oeis():
+    # pi(10^9), OEIS A006880, and the twin-prime pairs below 10^9, OEIS A007508
+    assert count_pi_1r(10**9, 33).count == 50847534
+    assert count_pi_1r(10**9, 1).count == 3424506
+
+
+def test_mirrored_kinds_agree_at_1e8():
+    # s = 1 makes D_sr's head a prime, and b = 33 makes D_1ab's p + 6 condition vacuous
+    N = 10**8
+    assert count_D_sr(N, 1, 2).count == count_D_1r(N, 2).count == count_D_1ab(N, 2, 33).count
+
+
 def test_factor_budgets_above_33_are_rejected():
     # Omega(n) <= 33 below 2^34, so a larger budget would count the same
     assert count_D_sr(1000, 33, 33).count == count_D_sr(1000, 10, 10).count

@@ -1,15 +1,21 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from triplesieve.errors import DomainError, EvaluationError
 from triplesieve.quadrature import (
+    CHAIN_STEP,
     ChainFamily,
     IntegralSpec,
+    _A1,
+    _li2,
+    chain_table,
     chain_value,
-    integrate_1d,
     integrate_nested,
+    log_basic_integral,
+    log_shift_integral,
     named_integral_specs,
     named_integral_value,
 )
@@ -22,59 +28,93 @@ def log_shift(t):
 
 
 # ---------------------------------------------------------------------------
-# integrate_1d
+# the 1-D log integrals in closed form
 # ---------------------------------------------------------------------------
 
 
+def test_li2_matches_mpmath_polylog():
+    # every branch: inversion below -1, the series on [-1, 1/2], reflection
+    # above 1/2, and the points where they meet
+    x = np.concatenate((np.linspace(-198.0, 1.0, 1991), np.linspace(-1.2, 1.0, 441),
+                        [np.nextafter(-1.0, -2.0), -1.0, 0.0, 1e-12, -1e-300, 0.5,
+                         np.nextafter(0.5, 1.0), 1.0]))
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.polylog(2, float(v))) for v in x])
+    assert np.all(np.abs(_li2(x) - exact) <= 1e-15 * np.abs(exact))
+
+
+def test_A1_matches_mpmath_quadrature():
+    for v in (2.0 + 1e-6, 2.001, 2.145, 2.81, 3.0, 7.4, 12.0, 50.5, 123.25, 199.0):
+        assert abs(float(_A1(v)) - oracles.quad(lambda t: mpmath.log(t - 1) / t, 2, v)) < 1e-14, v
+    assert _A1(2.0) == 0.0 and _A1(1.5) == 0.0
+
+
+@pytest.mark.parametrize("c, d, a, b", [(2.145, 3.145, 2.145, 12.0), (2.81, 3.81, 2.81, 7.4)])
+def test_shift_integrals_match_mpmath_quadrature(c, d, a, b):
+    # the S41 and S42 integrals of the term manifest
+    exact = oracles.quad(lambda t: mpmath.log(c - d / (t + 1)) / t, a, b)
+    assert abs(log_shift_integral(c, d, a, b) - exact) < 1e-14
+
+
 def test_empty_interval_is_zero():
-    assert integrate_1d(log_shift, 2.0, 2.0) == 0.0
+    assert log_basic_integral(2.0, 2.0) == 0.0
+    assert log_shift_integral(2.145, 3.145, 5.0, 5.0) == 0.0
 
 
 def test_analytic_log_two():
-    val = integrate_1d(lambda t: 1.0 / t, 1.0, 2.0, 1e-12)
-    assert abs(val - math.log(2)) < 1e-11
+    # int_1^2 log(e)/t dt: Li2(-1/t) + Li2(-t) = -pi^2/6 - log^2(t)/2 must cancel
+    assert abs(log_shift_integral(math.e, 0.0, 1.0, 2.0) - math.log(2)) < 1e-15
 
 
 def test_matches_simpson_oracle_on_log_kernel():
-    val = integrate_1d(log_shift, 2.0, 2.145, 1e-11)
-    assert abs(val - oracles.simpson(log_shift, 2.0, 2.145, 200_000)) < 1e-9
+    val = log_basic_integral(2.0, 2.145)
+    assert abs(val - oracles.simpson(log_shift, 2.0, 2.145, 200_000)) < 1e-13
 
 
 def test_reversed_interval_rejected():
     with pytest.raises(DomainError):
-        integrate_1d(log_shift, 3.0, 2.0)
+        log_basic_integral(3.0, 2.0)
+    with pytest.raises(DomainError):
+        log_shift_integral(2.145, 3.145, 12.0, 2.145)
 
 
 def test_nonfinite_kernel_raises():
-    with pytest.raises(EvaluationError):
-        with np.errstate(divide="ignore"):
-            integrate_1d(lambda t: 1.0 / (t - 0.5), 0.0, 1.0)
+    # log(c - d/(t+1)) is undefined where c(t+1) <= d, and log(t-1)/t is
+    # integrated from 2 only
+    with pytest.raises(DomainError):
+        log_shift_integral(1.0, 3.0, 0.5, 4.0)
+    with pytest.raises(DomainError):
+        log_shift_integral(-1.0, -3.0, 0.5, 4.0)
+    with pytest.raises(DomainError):
+        log_basic_integral(1.5, 3.0)
 
 
-def test_bad_tolerance_and_limits():
+def test_bad_limits_rejected():
     with pytest.raises(DomainError):
-        integrate_1d(log_shift, 2.0, 3.0, 0.0)
+        log_basic_integral(2.0, math.inf)
     with pytest.raises(DomainError):
-        integrate_1d(log_shift, 2.0, math.inf)
+        log_shift_integral(2.145, 3.145, 2.145, math.nan)
+    with pytest.raises(DomainError):
+        log_shift_integral(2.145, 3.145, 0.0, 3.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -2.0])
 def test_linearity(alpha):
-    tol = 1e-9
-    base = integrate_1d(log_shift, 2.0, 4.0, tol)
-    scaled = integrate_1d(lambda t: alpha * log_shift(t), 2.0, 4.0, tol)
-    assert abs(scaled - alpha * base) <= 2 * tol + 1e-12
+    # with d = 0 the kernel is log(c)/t, so the integral is log(c) log(b/a)
+    val = log_shift_integral(math.exp(alpha), 0.0, 2.0, 6.0)
+    assert abs(val - alpha * math.log(3.0)) < 1e-14
 
 
 def test_interval_additivity():
     rng = np.random.default_rng(7)
-    tol = 1e-9
-    whole = integrate_1d(log_shift, 2.0, 6.0, tol)
+    whole = log_basic_integral(2.0, 6.0)
+    shifted = log_shift_integral(2.145, 3.145, 2.145, 12.0)
     for _ in range(5):
-        c = float(rng.uniform(2.0, 6.0))
-        left = integrate_1d(log_shift, 2.0, c, tol)
-        right = integrate_1d(log_shift, c, 6.0, tol)
-        assert abs(whole - (left + right)) <= 3 * tol
+        c = float(rng.uniform(2.145, 6.0))
+        assert abs(whole - log_basic_integral(2.0, c) - log_basic_integral(c, 6.0)) < 1e-14
+        parts = (log_shift_integral(2.145, 3.145, 2.145, c)
+                 + log_shift_integral(2.145, 3.145, c, 12.0))
+        assert abs(shifted - parts) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +229,6 @@ def test_random_affine_specs_match_midpoint_cubature():
 # ---------------------------------------------------------------------------
 
 
-def test_chain_family_validation():
-    with pytest.raises(DomainError):
-        ChainFamily(grid_step=0.03)  # does not divide 1
-    with pytest.raises(DomainError):
-        ChainFamily(top_limit=1.0)
-    with pytest.raises(DomainError):
-        ChainFamily(base_kernel="exp(t)")
-
-
 def test_chain_k_domain():
     fam = ChainFamily()
     with pytest.raises(DomainError):
@@ -206,28 +237,20 @@ def test_chain_k_domain():
         chain_value(fam, 200)
 
 
-def test_chain_guard_for_empty_outer_range():
-    fam = ChainFamily(top_limit=100.0)
-    assert chain_value(fam, 150) == 0.0
+def _table_at(row, v):
+    """Row ``row`` of the chain table (A_2, ..., A_13, T) at the node v."""
+    return float(chain_table()[row, round((v - 1.0) / CHAIN_STEP)])
 
 
 def test_chain_low_levels_match_nested_evaluator():
     # A_2 and A_3 recomputed by the independent tensor evaluator
-    from triplesieve.quadrature import _chain_levels
-
-    fam = ChainFamily()
-    grid, levels = _chain_levels(fam)
-
-    def at(j, v):
-        return float(levels[j][int(round((v - 2.0) / fam.grid_step))])
-
     spec2 = IntegralSpec(
         "A2", 2,
         ((3.0, 12.0), (2.0, lambda t: t - 1.0)),
         lambda t, u: np.log(u - 1.0) / (t * u),
         1e-11,
     )
-    assert abs(at(2, 12.0) - integrate_nested(spec2)) < 1e-7
+    assert abs(_table_at(0, 12.0) - integrate_nested(spec2)) < 1e-7
 
     spec3 = IntegralSpec(
         "A3", 3,
@@ -235,18 +258,28 @@ def test_chain_low_levels_match_nested_evaluator():
         lambda t1, t2, t3: np.log(t3 - 1.0) / (t1 * t2 * t3),
         1e-11,
     )
-    assert abs(at(3, 25.0) - integrate_nested(spec3)) < 1e-7
+    assert abs(_table_at(1, 25.0) - integrate_nested(spec3)) < 1e-7
+
+
+def test_chain_levels_vanish_below_their_lower_limits():
+    # A_j = 0 up to j + 1, and the tail T = sum_{j>=14} A_j up to 15
+    table = chain_table()
+    for row in range(13):
+        start = round((min(row + 3, 15) - 1.0) / CHAIN_STEP)
+        assert not table[row, : start + 1].any(), row
+        assert table[row, start + round(1 / CHAIN_STEP)] > 0.0, row  # one unit in
 
 
 def test_chain_monotone_decreasing_in_k():
-    fam = ChainFamily()
-    values = [chain_value(fam, k) for k in range(15, 31)]
+    # c_k = A_{k-2}(199) peaks at k = 5 and falls from there to k = 15
+    values = chain_table()[1:-1, -1]
     assert all(v > 0 for v in values)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_chain_grid_refinement_stability():
-    coarse = ChainFamily()
-    fine = ChainFamily(grid_step=0.025)
-    for k in (15, 20, 30):
-        assert abs(chain_value(coarse, k) - chain_value(fine, k)) < 1e-8
+def test_c15_matches_the_oracle_chain():
+    # the oracle is O(h^4) on its own grid; its Richardson value is O(h^6)
+    coarse, fine = oracles.chain_density_sum(0.005)[1], oracles.chain_density_sum(0.0025)[1]
+    c15 = chain_value(ChainFamily(), 15)
+    assert abs(c15 - fine) < 1e-15
+    assert abs(c15 - (16 * fine - coarse) / 15) < 1e-16
