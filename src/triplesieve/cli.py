@@ -221,7 +221,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     for name in requested:
         row = {"label": name, "value": "", "truncation_prime": "", "tail_bound": ""}
         if name == "C2" or name == "C3":
-            res = (constants.constant_C2 if name == "C2" else constants.constant_C3)(1e-6)
+            res = (constants.constant_C2 if name == "C2" else constants.constant_C3)()
             row.update(value=f"{res.value:.15g}", truncation_prime=str(res.truncation_prime),
                        tail_bound=f"{res.tail_bound:.3e}")
         elif name == "C0":
@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recompute the weighted-sieve constants for (p, p+2, p+6) "
                     "almost-prime triples and count them at desk scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # optional, so that an unknown option is reported before a missing command
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", help="recompute and check every published constant")
     p.add_argument("--tolerance", action="append", default=[], metavar="[LABEL=]PCT",
@@ -300,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
         return args.func(args)
     except (DomainError, CapacityError, EvaluationError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

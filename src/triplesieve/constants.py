@@ -1,19 +1,19 @@
 """Euler products, singular series, and the aggregated auxiliary constants.
 
-The two classical products
-
-    C2 = 2 prod_{p>2} (1 - 1/(p-1)^2)
-    C3 = (9/2) prod_{p>3} (1 - (3p-1)/(p-1)^3)
-
-are truncated at a prime P large enough that the elementary tail estimate
-int_P^inf 4/(t^2 log t) dt <= 4/(P log P) drops below the requested
-tolerance; the estimate is reported, not proven sharp.  It bounds the sum of
-the logs of the neglected factors, so it is a relative error: the absolute
-error of the value is at most about value * tail_bound.  C(N) rescales C2/2 by
-the odd prime divisors of N.  The remaining constants aggregate quadrature
-results: C0 sums the chain densities c_k, and the E/L coefficients evaluate
-the two role-reversal error displays with the Buchstab factor replaced by its
-numeric bound (an exact-w mode exists for L, whose display keeps w inside).
+The Hardy–Littlewood constants C2 = 2 prod_{p>2} (1 - 1/(p-1)^2) and
+C3 = (9/2) prod_{p>3} (1 - (3p-1)/(p-1)^3) are a prefactor times
+prod_{p>c} f_c(p), f_c(p) = (1 - c/p)(1 - 1/p)^-c, for c = 2 and 3.  The
+product runs factor by factor over p <= Q = 1000; past Q it is
+prod_{s>=2} zeta_Q(s)^-M(c,s) with zeta_Q(s) = zeta(s) prod_{p<=Q} (1 - p^-s),
+where M(c, s) counts the aperiodic necklaces of s beads in c colours (by the
+cyclotomic identity 1 - cx = prod_s (1 - x^s)^M(c,s)).  That is the prime-zeta
+tail exp(-sum_k (c^k - c)/k P_Q(k)) of Cohen (1998) and Moree (2000) regrouped
+by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  C(N)
+rescales C2/2 by the odd prime divisors of N.  The remaining constants
+aggregate quadrature results: C0 sums the chain densities c_k, and the E/L
+coefficients evaluate the two role-reversal error displays with the Buchstab
+factor replaced by its numeric bound (an exact-w mode exists for L, whose
+display keeps w inside).
 """
 
 from __future__ import annotations
@@ -30,109 +30,105 @@ from .primes import primes_up_to
 # quadrature and sieve_functions are imported inside C0, E and L: the counting
 # engine needs only the Euler products and C(N)
 
-MIN_TRUNCATION_PRIME = 100_000
-MIN_TOLERANCE = 1e-8
-TAIL_CEILING = 1e-6  # every result converges at least this far, whatever tol asks
 MAX_FACTORABLE_N = 10**12
 
 W_TAIL_BOUND_FROM_4 = 0.5617
 W_TAIL_BOUND_FROM_3 = 0.5644
 
+# B_2 .. B_18, for Euler–Maclaurin here and the dilogarithm series in quadrature
+_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)
+_UNIT_ROUNDOFF = 2.0**-53
+_PREFACTOR = {2: 2.0, 3: 4.5}
+
 
 @dataclass(frozen=True)
 class EulerProductResult:
-    """A truncated Euler product: the product over p <= truncation_prime.
-
-    ``tail_bound`` bounds |log(true / value)|, the log of the neglected
-    factors, i.e. the relative error; the absolute error is at most about
-    ``value * tail_bound``.
-    """
+    """C2 or C3: the product over p <= truncation_prime times its zeta-value tail.
+    ``tail_bound`` bounds |log(true / value)|, the relative error, so the
+    absolute error is at most about ``value * tail_bound``."""
 
     value: float
     truncation_prime: int
     tail_bound: float
 
 
-def _tail_bound(P: int) -> float:
-    return 4.0 / (P * math.log(P))
+def partial_product(c: int, P: int) -> float:
+    """C2 (c = 2) or C3 (c = 3) truncated at p <= P, from the logs of the factors
+    1 - 1/(p-1)^2 and 1 - (3p-1)/(p-1)^3: log(1 - c/p) - c log(1 - 1/p) would cancel."""
+    p = primes_up_to(P)[c - 1 :].astype(np.float64)  # the primes past c = 2 or 3
+    x = 1.0 / (p - 1) ** 2 if c == 2 else (3 * p - 1) / (p - 1) ** 3
+    return _PREFACTOR[c] * math.exp(math.fsum(np.log1p(-x)))
 
 
-def _truncation_prime(tol: float) -> int:
-    if tol < MIN_TOLERANCE:
-        raise DomainError(f"tolerance must be >= {MIN_TOLERANCE}")
-    target = min(tol, TAIL_CEILING)
-    P = MIN_TRUNCATION_PRIME
-    while _tail_bound(P) >= target:
-        P *= 2
-    return P
+def _odd_zeta_minus_one(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(s) (1 - 2^-s) - 1, the sum of n^-s over odd n >= 3, and its error bound:
+    past n = 21 by Euler–Maclaurin with step 2, where n^-s is completely monotone,
+    so the last correction bounds the truncation.  Rounding adds at most 12 units
+    of roundoff: one per power, eight in the head's sum, two in the tail and sum."""
+    m = 21.0
+    head = (np.arange(3.0, m, 2.0)[:, None] ** -s).sum(axis=0)
+    tail = m ** (1 - s) / (2 * (s - 1)) + 0.5 * m**-s
+    step = 2 * s * m ** (-s - 1)  # 2^(2j-1) (s)_(2j-1) m^(-s-2j+1)
+    for j, b in enumerate(_B2K, 1):
+        step *= 1 if j == 1 else 4 * (s + 2 * j - 3) * (s + 2 * j - 2) / m**2
+        correction = b / math.factorial(2 * j) * step
+        tail += correction
+    value = head + tail
+    return value, np.abs(correction) + 12 * _UNIT_ROUNDOFF * value
 
 
-def _primes_above(q: int, P: int) -> np.ndarray:
-    """The primes q < p <= P, as a view of the cached table."""
-    p = primes_up_to(P)
-    return p[np.searchsorted(p, q, side="right") :]
+@cache
+def _euler_product(c: int) -> EulerProductResult:
+    Q = 1000  # the product runs factor by factor over p <= Q
+    # zeta_Q(s) - 1 <= (Q+1)^-s (1 + (Q+1)/(s-1)) and M(c, s) <= c^s / s bound
+    # the log of the factors s > S
+    S, r, truncation = 1, c / (Q + 1), math.inf
+    while truncation > _UNIT_ROUNDOFF:
+        S += 1
+        truncation = r ** (S + 1) / (1 - r) * (1 + (Q + 1) / S) / (S + 1)
+    M = [0] * (S + 1)  # M(c, s), from c^s = sum_{d | s} d M(c, d)
+    for k in range(1, S + 1):
+        M[k] = (c**k - sum(d * M[d] for d in range(1, k) if k % d == 0)) // k
+    M, s = np.array(M[2:], dtype=np.float64), np.arange(2.0, S + 1)
+    z, z_err = _odd_zeta_minus_one(s)
+    p = primes_up_to(Q)[1:].astype(np.float64)
+    # each log zeta_Q(s) is log(1 + z) + sum_{2<p<=Q} log(1 - p^-s)
+    tail = np.concatenate((-M * np.log1p(z), (-M * np.log1p(-(p[:, None] ** -s))).ravel()))
+    head = partial_product(c, Q)
+    # rounding: past z_err each term is within 8 units of roundoff (an ulp for a
+    # power or quotient and for log1p, one for M); the head's terms share a sign;
+    # two fsums, two exps and three products add at most 12 more
+    size = abs(math.log(head / _PREFACTOR[c])) + float(np.abs(tail).sum())
+    rounding = _UNIT_ROUNDOFF * (8 * size + 12)
+    value = head * math.exp(math.fsum(tail))
+    return EulerProductResult(value, Q, truncation + float(M @ z_err) + rounding)
 
 
-# The products work in place on one float64 array of the primes' size (C3 adds
-# one int64 numerator): the table holds ~34k primes at the default truncation,
-# and each array-sized temporary would add ~0.27 MB to a count's peak.
+def constant_C3(tol: float | None = None) -> EulerProductResult:
+    """C3, of the pattern (n, n+2, n+6).  ``tol`` is ignored: the benchmark trace passes it."""
+    return _euler_product(3)
 
 
-def c3_partial(P: int) -> float:
-    """Partial triple-pattern product truncated at p <= P (diagnostic)."""
-    p = _primes_above(3, P)
-    terms = np.subtract(p, 1, dtype=np.float64)
-    np.power(terms, 3, out=terms)  # (p - 1)^3
-    numerator = -3 * p
-    numerator += 1  # -(3p - 1), exact in int64 and as a float64
-    np.divide(numerator, terms, out=terms)
-    return float(4.5 * np.exp(np.log1p(terms, out=terms).sum()))
+def constant_C2(tol: float | None = None) -> EulerProductResult:
+    """C2, of the twin pattern (n, n+2).  ``tol`` is ignored, as in ``constant_C3``."""
+    return _euler_product(2)
 
 
-def c2_partial(P: int) -> float:
-    """Partial twin-pattern product truncated at p <= P (diagnostic)."""
-    terms = np.subtract(_primes_above(2, P), 1, dtype=np.float64)
-    np.square(terms, out=terms)  # (p - 1)^2
-    np.divide(-1.0, terms, out=terms)
-    return float(2.0 * np.exp(np.log1p(terms, out=terms).sum()))
-
-
-@lru_cache(maxsize=8)
-def constant_C3(tol: float = 1e-6) -> EulerProductResult:
-    """Density constant of the triple pattern (n, n+2, n+6), converged to ~tol."""
-    P = _truncation_prime(tol)
-    return EulerProductResult(c3_partial(P), P, _tail_bound(P))
-
-
-@lru_cache(maxsize=8)
-def constant_C2(tol: float = 1e-6) -> EulerProductResult:
-    """Twin-pattern density constant, converged to ~tol."""
-    P = _truncation_prime(tol)
-    return EulerProductResult(c2_partial(P), P, _tail_bound(P))
-
-
-def singular_series_CN(N: int, tol: float = 1e-6) -> float:
+def singular_series_CN(N: int) -> float:
     """C(N) = prod_{p|N, p>2} (p-1)/(p-2) * prod_{p>2} (1 - 1/(p-1)^2)."""
     N = int(N)
     if N < 4 or N % 2:
         raise DomainError(f"N must be an even integer >= 4, got {N}")
     if N > MAX_FACTORABLE_N:
         raise CapacityError(f"N capped at {MAX_FACTORABLE_N} for trial division")
-    remaining = N
-    scale = 1.0
-    while remaining % 2 == 0:
-        remaining //= 2
-    for p in primes_up_to(math.isqrt(remaining)):
-        p = int(p)
-        if p * p > remaining:
-            break
-        if remaining % p == 0:
-            scale *= (p - 1) / (p - 2)
-            while remaining % p == 0:
-                remaining //= p
-    if remaining > 1:  # leftover cofactor is prime
-        scale *= (remaining - 1) / (remaining - 2)
-    return scale * constant_C2(tol).value / 2.0
+    odd = N // (N & -N)  # N without its factors 2
+    p = primes_up_to(math.isqrt(odd))[1:]
+    factors = [int(q) for q in p[odd % p == 0]]
+    for q in factors:
+        while odd % q == 0:
+            odd //= q
+    factors += [odd] if odd > 1 else []  # the cofactor left is prime
+    return math.prod((q - 1) / (q - 2) for q in factors) * _euler_product(2).value / 2.0
 
 
 @cache

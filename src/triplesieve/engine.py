@@ -331,7 +331,7 @@ class CountKind:
 KINDS = {
     "pi_1ab": CountKind(
         ("a", "b"), 0, None, ((2, "a"), (6, "b")), None,
-        lambda x, p: constant_C3(1e-6).value * x / math.log(x) ** 3 * _loglog_power(x, p["a"] - 2),
+        lambda x, p: constant_C3().value * x / math.log(x) ** 3 * _loglog_power(x, p["a"] - 2),
     ),
     "D_1ab": CountKind(
         ("a", "b"), 8, None, ((6, "b"),), "a",
@@ -339,7 +339,7 @@ KINDS = {
     ),
     "pi_1r": CountKind(
         ("r",), 0, None, ((2, "r"),), None,
-        lambda x, p: constant_C2(1e-6).value * x / math.log(x) ** 2 * _loglog_power(x, p["r"] - 2),
+        lambda x, p: constant_C2().value * x / math.log(x) ** 2 * _loglog_power(x, p["r"] - 2),
     ),
     "D_1r": CountKind(
         ("r",), 4, None, (), "r",

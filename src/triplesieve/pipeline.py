@@ -231,7 +231,7 @@ def verification_report(
     def add(label, computed, paper, direction, note=""):
         checks.append(make_check(label, computed, paper, direction, tol(label), note))
 
-    c3 = float(aux["C3"]) if use_paper_values else constants.constant_C3(1e-6).value
+    c3 = float(aux["C3"]) if use_paper_values else constants.constant_C3().value
     add("C3", c3, float(aux["C3"]), "two_sided",
         "converged Euler product vs published decimal")
     c0 = float(aux["C0"]) if use_paper_values else constants.constant_C0()

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import CapacityError
 
-_SIEVE_CAP = 200_000_000  # its odd-only bool mask is ~100 MB; far above any current need
+_SIEVE_CAP = 10**6  # covers sqrt of C(N)'s 1e12 and of the sieve's 1e10 + 6
 
 
 @lru_cache(maxsize=8)

@@ -31,6 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .constants import _B2K
 from .errors import DomainError, EvaluationError
 
 Kernel = Callable[..., np.ndarray]
@@ -41,7 +42,6 @@ Limit = Union[float, Callable[..., np.ndarray]]
 # ---------------------------------------------------------------------------
 
 _PI2_6 = math.pi**2 / 6
-_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)
 # Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in u = -log(1-x); on
 # [-1, 1/2], |u| <= log 2 and these nine terms reach 1e-17 (highest first)
 _LI2_SERIES = [b / math.factorial(2 * k + 1) for k, b in enumerate(_B2K, 1)][::-1]

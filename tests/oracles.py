@@ -307,3 +307,32 @@ def quad(f, a: float, b: float) -> float:
     """int_a^b f(t) dt by mpmath's tanh-sinh quadrature at 30 digits (f takes mpf)."""
     with mpmath.workdps(30):
         return float(mpmath.quad(f, [a, b]))
+
+
+# ---------------------------------------------------------------------------
+# Hardy-Littlewood constants: prime zeta values in mpmath at 40 digits
+# ---------------------------------------------------------------------------
+
+
+@cache
+def hardy_littlewood_constant(c: int, q: int = 100, k_max: int = 90) -> float:
+    """C2 (c = 2) or C3 (c = 3) as prefactor * prod_{c<p<=q} f_c(p) times
+    exp(-sum_{k=2}^{k_max} (c^k - c)/k * (P(k) - sum_{p<=q} p^-k)), with P the
+    prime zeta function and f_c(p) = (1 - c/p)(1 - 1/p)^-c.  The terms past
+    k_max are below (c/q)^k_max."""
+    with mpmath.workdps(40):
+        primes = primes_below(q)
+        log_value = mpmath.log(mpmath.mpf(2) if c == 2 else mpmath.mpf(9) / 2)
+        for p in primes:
+            if p > c:
+                log_value += mpmath.log(1 - mpmath.mpf(c) / p) - c * mpmath.log(1 - mpmath.mpf(1) / p)
+        for k in range(2, k_max + 1):
+            tail = mpmath.primezeta(k) - mpmath.fsum(mpmath.mpf(p) ** -k for p in primes)
+            log_value -= (mpmath.mpf(c) ** k - c) / k * tail
+        return float(mpmath.exp(log_value))
+
+
+def odd_zeta_minus_one(s: float) -> float:
+    """zeta(s) (1 - 2^-s) - 1, the sum of n^-s over the odd n >= 3, in mpmath."""
+    with mpmath.workdps(30):
+        return float(mpmath.zeta(s) * (1 - mpmath.mpf(2) ** -s) - 1)

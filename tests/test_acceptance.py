@@ -22,7 +22,7 @@ import pytest
 
 import triplesieve as ts
 from triplesieve.cli import main as cli_main
-from triplesieve.constants import c3_partial
+from triplesieve.constants import partial_product
 from triplesieve.pipeline import TERM_LABELS, brace_value, load_terms, published_sums
 
 import oracles
@@ -37,12 +37,12 @@ C3_A065418 = 2.85824859571922  # Hardy-Littlewood constant of (n, n+2, n+6)
 
 def test_acceptance_01_triple_pattern_constant():
     start = time.perf_counter()
-    res = ts.constant_C3(1e-6)
+    res = ts.constant_C3()
     elapsed = time.perf_counter() - start
     # tail_bound bounds the log of the neglected factors: a relative error
     tol = res.value * res.tail_bound
     ok_value = abs(res.value - C3_A065418) <= tol
-    published, truncated = 2.86259, c3_partial(283)
+    published, truncated = 2.86259, partial_product(3, 283)
     ok_published = abs(truncated - published) <= 2e-5
     ok_time = elapsed < 5.0
     _verdict(
@@ -61,7 +61,7 @@ def test_acceptance_01_triple_pattern_constant():
     )
     assert ok_published, (
         f"the published 2.86259 is the product truncated at p <= 283, but "
-        f"c3_partial(283) = {truncated:.7f} is {truncated - published:+.2e} from it"
+        f"partial_product(3, 283) = {truncated:.7f} is {truncated - published:+.2e} from it"
     )
 
 
@@ -232,7 +232,7 @@ def test_acceptance_09_empirical_order_check():
     start = time.perf_counter()
     results = ts.ratio_scan("pi_1ab", (1, 1), [10**6, 10**7, 10**8])
     elapsed = time.perf_counter() - start
-    c3 = ts.constant_C3(1e-6).value
+    c3 = ts.constant_C3().value
     bounds_ok = all(
         r.count <= 100 * c3 * r.size / math.log(r.size) ** 3 for r in results
     )

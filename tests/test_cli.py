@@ -78,10 +78,11 @@ def test_ratio_scan_output_bytes(capsys):
         capsys, "ratio", "pi_1ab", "1", "1", "--checkpoints", "1000,10000", "--no-timestamp"
     )
     assert code == 0
+    # predicted = C3 x / log^3 x, with C3 = OEIS A065418
     assert out == (
         "kind,size,a,b,s,r,count,predicted,ratio\n"
-        "pi_1ab,1000,1,1,,,15,8.671404,1.729824\n"
-        "pi_1ab,10000,1,1,,,55,36.582484,1.503452\n"
+        "pi_1ab,1000,1,1,,,15,8.671399,1.729825\n"
+        "pi_1ab,10000,1,1,,,55,36.582464,1.503453\n"
     )
 
 
@@ -185,11 +186,11 @@ def test_constants_default_set(capsys):
     rows = parse_csv(out)
     assert code == 0
     assert [r["label"] for r in rows] == ["C2", "C3", "C0"]
-    assert rows[0]["value"] == "1.32032387005627"  # 15 significant digits
+    assert rows[0]["value"] == "1.32032363169374"  # 15 significant digits, 2 x OEIS A005597
     assert rows[2]["value"] == "0.00388643963822591"
     # the cubic-spline chain gave 0.00388643967868121; C0 must stay within 1e-10
     assert abs(float(rows[2]["value"]) - 0.00388643967868121) < 1e-10
-    assert int(rows[1]["truncation_prime"]) >= 100_000
+    assert rows[1]["value"] == "2.85824859571922"  # OEIS A065418
 
 
 def test_constants_singular_series(capsys):
@@ -207,7 +208,7 @@ def test_constants_unknown_name(capsys):
 def test_constants_values_carry_15_digits(capsys):
     _, out, _ = run_cli(capsys, "constants", "C3", "C0", "CN=30", "--no-timestamp")
     values = [float(r["value"]) for r in parse_csv(out)]
-    exact = [constants.constant_C3(1e-6).value, constants.constant_C0(),
+    exact = [constants.constant_C3().value, constants.constant_C0(),
              constants.singular_series_CN(30)]
     assert all(v == pytest.approx(e, rel=1e-14) for v, e in zip(values, exact))
 
@@ -333,6 +334,13 @@ HOSTILE_ARGVS = [
     (1, "--bogus"),
 ]
 
+# the top level's two usage errors, each with its own message: an unknown option
+# is reported as such, not as a missing command
+PINNED_ERRORS = {
+    ("--bogus",): "triplesieve: error: unrecognized arguments: --bogus\n",
+    (): "triplesieve: error: the following arguments are required: command\n",
+}
+
 
 @pytest.mark.parametrize("expected, argv", [(case[0], case[1:]) for case in HOSTILE_ARGVS],
                          ids=[" ".join(case[1:]) or "<none>" for case in HOSTILE_ARGVS])
@@ -346,6 +354,7 @@ def test_hostile_argv_keeps_the_exit_code_contract(capsys, expected, argv):
     assert code == expected, err
     if code == 1:
         assert any("error: " in line for line in err.splitlines()), err
+    assert err.endswith(PINNED_ERRORS.get(tuple(argv), ""))
     assert "Traceback" not in err
 
 
@@ -364,6 +373,7 @@ def test_hostile_argv_keeps_the_exit_code_contract_through_python_m(expected, ar
     assert done.returncode == expected, done.stderr
     if expected == 1:
         assert any("error: " in line for line in done.stderr.splitlines()), done.stderr
+    assert done.stderr.endswith(PINNED_ERRORS.get(tuple(argv), "")), done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from triplesieve.constants import (
-    c2_partial,
-    c3_partial,
+    _odd_zeta_minus_one,
     coefficient_E,
     coefficient_L,
     constant_C0,
     constant_C2,
     constant_C3,
+    partial_product,
     singular_series_CN,
 )
 from triplesieve.errors import CapacityError, DomainError
@@ -48,6 +48,13 @@ def test_small_prime_tables_match_trial_division():
         assert primes_up_to(n).tolist() == oracles.primes_below(n), n
 
 
+def test_prime_table_capacity():
+    # 10^6 covers the factor sieve's sqrt(1e10 + 6) and C(N)'s sqrt(1e12)
+    assert primes_up_to(10**6)[-1] == 999_983
+    with pytest.raises(CapacityError):
+        primes_up_to(10**6 + 1)
+
+
 # ---------------------------------------------------------------------------
 # Euler products
 # ---------------------------------------------------------------------------
@@ -55,16 +62,16 @@ def test_small_prime_tables_match_trial_division():
 
 def test_c3_single_factor_exact_rational():
     # only p = 5 contributes below 7: (9/2) (1 - 14/64) = 225/64
-    assert c3_partial(6) == pytest.approx(225 / 64, abs=1e-12)
+    assert partial_product(3, 6) == pytest.approx(225 / 64, abs=1e-12)
 
 
 def test_c2_single_factor_exact_rational():
     # only p = 3 contributes below 5: 2 (1 - 1/4) = 3/2
-    assert c2_partial(4) == pytest.approx(1.5, abs=1e-12)
+    assert partial_product(2, 4) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_partial_products_decrease():
-    values = [c3_partial(P) for P in (10, 100, 1000, 10_000)]
+    values = [partial_product(3, P) for P in (10, 100, 1000, 10_000)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -77,29 +84,48 @@ def test_every_product_factor_in_unit_interval():
 
 
 def test_c3_truncation_levels_agree():
-    assert abs(c3_partial(10**6) - c3_partial(10**7)) < 1e-6
-    tight = constant_C3(1e-8)
-    loose = constant_C3(1e-6)
-    # tail estimates bound the log of the neglected factor product
-    assert abs(tight.value - loose.value) < loose.value * loose.tail_bound
-    assert tight.truncation_prime > loose.truncation_prime
+    # the factors past P multiply to exp(-sum_{p>P} ~3/p^2), and
+    # sum_{p>P} 1/p^2 is about 1/(P log P): the truncations approach C3 from above
+    c3 = constant_C3().value
+    for P in (10**4, 10**5, 10**6):
+        gap = math.log(partial_product(3, P) / c3) * P * math.log(P)
+        assert 2.0 < gap < 4.0, P
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_products_match_the_mpmath_oracle_within_their_bound(c):
+    res = (constant_C2 if c == 2 else constant_C3)()
+    oracle = oracles.hardy_littlewood_constant(c)
+    assert abs(res.value - oracle) <= res.value * res.tail_bound
+    assert 0 < res.tail_bound <= 1e-14
 
 
 def test_result_invariants():
-    # the tail ceiling holds even when the requested tolerance is looser
-    for res in (constant_C2(1e-6), constant_C3(1e-6), constant_C3(1e-4)):
-        assert res.truncation_prime >= 100_000
-        assert res.tail_bound < 1e-6
+    # the exact product runs to Q = 1000, the zeta-value tail beyond it
+    for res in (constant_C2(), constant_C3()):
+        assert res.truncation_prime == 1000
+        assert 0 < res.tail_bound <= 1e-14
+
+
+def test_tolerance_argument_is_accepted_and_ignored():
+    # the old tolerance signature still calls, with neither a floor nor an effect
+    assert constant_C3(1e-9) is constant_C3(1e-4) is constant_C3()
+    assert constant_C2(1e-6) is constant_C2()
 
 
 def test_twin_constant_value():
-    # classical twin-pattern constant, frozen from two independent truncations
-    assert constant_C2(1e-6).value == pytest.approx(1.3203236, abs=2e-6)
+    # 2 x OEIS A005597, and the mpmath oracle to 1e-14
+    assert constant_C2().value == pytest.approx(oracles.hardy_littlewood_constant(2), abs=1e-14)
+    assert f"{constant_C2().value:.15g}" == "1.32032363169374"
 
 
-def test_tolerance_floor():
-    with pytest.raises(DomainError):
-        constant_C3(1e-9)
+def test_odd_zeta_matches_mpmath_within_its_bound():
+    s = np.arange(2.0, 13.0)
+    value, err = _odd_zeta_minus_one(s)
+    for si, v, e in zip(s, value, err):
+        exact = oracles.odd_zeta_minus_one(si)
+        assert abs(v - exact) <= e, si
+        assert e <= 2e-15 * exact, si
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +134,7 @@ def test_tolerance_floor():
 
 
 def test_CN_without_odd_divisors_is_half_C2():
-    base = constant_C2(1e-6).value / 2
+    base = constant_C2().value / 2
     assert singular_series_CN(4) == pytest.approx(base, rel=1e-12)
     assert singular_series_CN(1024) == pytest.approx(singular_series_CN(4), rel=1e-12)
 

@@ -315,9 +315,18 @@ def test_vacuous_conditions_count_all_primes():
 
 
 def test_exact_counts_at_1e9_match_oeis():
-    # pi(10^9), OEIS A006880, and the twin-prime pairs below 10^9, OEIS A007508
-    assert count_pi_1r(10**9, 33).count == 50847534
-    assert count_pi_1r(10**9, 1).count == 3424506
+    # pi(10^k), OEIS A006880, and the twin-prime pairs below 10^k, OEIS A007508,
+    # for k = 3 .. 9: one sieve pass each
+    marks = [10**k for k in range(3, 10)]
+    assert [r.count for r in ratio_scan("pi_1r", (33,), marks)] == [
+        168, 1229, 9592, 78498, 664579, 5761455, 50847534]
+    assert [r.count for r in ratio_scan("pi_1r", (1,), marks)] == [
+        35, 205, 1224, 8169, 58980, 440312, 3424506]
+
+
+def test_vacuous_offset_condition_at_1e9():
+    # b = 33 makes pi_1ab's p + 6 condition vacuous, leaving pi_1r's p + 2 one
+    assert count_pi_1ab(10**9, 2, 33).count == count_pi_1r(10**9, 2).count == 14176573
 
 
 def test_mirrored_kinds_agree_at_1e8():
@@ -580,15 +589,15 @@ def test_predictor_shapes():
     llx = math.log(math.log(x))
     r3 = count_pi_1ab(x, 3, 3)
     assert r3.predicted == pytest.approx(
-        constant_C3(1e-6).value * x / math.log(x) ** 3 * llx, rel=1e-12
+        constant_C3().value * x / math.log(x) ** 3 * llx, rel=1e-12
     )
     r1 = count_pi_1ab(x, 1, 1)  # log log exponent floors at zero
     assert r1.predicted == pytest.approx(
-        constant_C3(1e-6).value * x / math.log(x) ** 3, rel=1e-12
+        constant_C3().value * x / math.log(x) ** 3, rel=1e-12
     )
     c = count_pi_1r(x, 2)
     assert c.predicted == pytest.approx(
-        constant_C2(1e-6).value * x / math.log(x) ** 2, rel=1e-12
+        constant_C2().value * x / math.log(x) ** 2, rel=1e-12
     )
     d = count_D_sr(10_000, 2, 3)
     assert d.predicted == pytest.approx(
