@@ -28,9 +28,9 @@ from collections.abc import Callable
 from datetime import datetime, timezone
 from typing import NoReturn
 
-# pipeline and sieve_functions (and json) are imported by the commands that use
-# them, so that count and ratio load only the engine
-from . import constants, engine
+# constants, pipeline and sieve_functions (and json) are imported by the commands
+# that use them, so that count and ratio load only the engine
+from . import engine
 from .errors import CapacityError, DomainError, EvaluationError
 
 SCHEMA = 1
@@ -216,6 +216,8 @@ def _cmd_functions(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    from . import constants
+
     requested = args.names or ["C2", "C3", "C0"]
     rows = []
     for name in requested:

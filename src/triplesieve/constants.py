@@ -19,8 +19,8 @@ display keeps w inside).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ _UNIT_ROUNDOFF = 2.0**-53
 _PREFACTOR = {2: 2.0, 3: 4.5}
 
 
-@dataclass(frozen=True)
-class EulerProductResult:
+class EulerProductResult(NamedTuple):
     """C2 or C3: the product over p <= truncation_prime times its zeta-value tail.
     ``tail_bound`` bounds |log(true / value)|, the relative error, so the
     absolute error is at most about ``value * tail_bound``."""

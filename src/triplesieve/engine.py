@@ -17,10 +17,11 @@ TRIPLESIEVE_THREADS sizes the workers.  With two or more, the calling process
 only coordinates: it forks every worker and adds their sums, and sieves
 nothing, so its own pages (numpy and the interpreter's code) never sit in one
 process with a set of segment buffers.  With one worker, or where os.fork is
-missing, a count runs serially in the calling process.  A count builds its
-prime powers and the scatter's plan once (_Plan) and sieves every segment in
-one set of buffers sized by its largest segment, so a segment allocates nothing
-of its own size: each worker faults its buffers in once, not once per segment.
+missing, a count runs serially in the calling process.  Every process that
+sieves builds its count's prime powers and the scatter's plan once (_Plan) and
+sieves every segment it takes in one set of buffers sized by the count's largest
+segment, so a segment allocates nothing of its own size: each worker faults its
+buffers in once, not once per segment.  A forking caller builds none of them.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -39,9 +40,10 @@ pair reads its arrays forwards (a negative-stride compare of 2^20 bytes runs
 mirrored count: the plan's 1 MiB word block and a 0.5 MiB Omega array per
 segment of a unit.
 
-This module imports numpy and the Euler products of constants, but not the
-quadrature, the sieve curves or the pipeline; ``import triplesieve`` itself
-loads none of them until a public name is used.
+This module imports numpy, but not the quadrature, the sieve curves or the
+pipeline; the Euler products of constants load with the first predictor that
+uses one (D_1ab's uses none), and ``import triplesieve`` itself loads none of
+them until a public name is used.
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ import os
 import signal
 import traceback
 import warnings
-from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import constant_C2, constant_C3, singular_series_CN
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
@@ -73,12 +73,13 @@ SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
 
 
-@dataclass(frozen=True, eq=False)
 class OmegaSegment:
     """Exact Omega values for the half-open integer range [base, base + len)."""
 
-    base: int
-    omegas: np.ndarray
+    __slots__ = ("base", "omegas")
+
+    def __init__(self, base: int, omegas: np.ndarray):
+        self.base, self.omegas = base, omegas
 
     def omega(self, n: int) -> int:
         if not self.base <= n < self.base + len(self.omegas):
@@ -86,15 +87,18 @@ class OmegaSegment:
         return int(self.omegas[n - self.base])
 
 
-@dataclass(frozen=True, eq=False)
 class TripleCountResult:
     """One counting query with its main-term prediction."""
 
-    kind: str
-    size: int
-    params: dict
-    count: int
-    predicted: float
+    __slots__ = ("kind", "size", "params", "count", "predicted")
+
+    def __init__(self, kind: str, size: int, params: dict, count: int, predicted: float):
+        self.kind, self.size, self.params = kind, size, params
+        self.count, self.predicted = count, predicted
+
+    def __repr__(self) -> str:
+        return (f"TripleCountResult({self.kind!r}, {self.size}, {self.params}, "
+                f"{self.count}, {self.predicted!r})")
 
     @property
     def ratio(self) -> float:
@@ -177,7 +181,8 @@ def _prime_powers(hi: int, base_primes: np.ndarray, step: int) -> tuple[np.ndarr
 
 class _Plan:
     """The prime powers of a count laid out for blocks of at most `words` words,
-    with the buffers such a block is sieved in; built once per count.
+    with the buffers such a block is sieved in; built once in each process that
+    sieves the count, never in a caller that forks.
 
     A power with at least _SCATTER_HITS multiples in `words` indices is struck by
     one strided add.  Every other power owns a run of entries, one per multiple
@@ -187,8 +192,7 @@ class _Plan:
     (np.take would need the run numbers as intp, a temporary of 8 bytes per
     entry).  Indices past the block's end are clamped to its slack word n.
     block (words + 1 uint16 words, slack included) and at are overwritten by
-    every block, so one plan serves one process at a time: forked workers each
-    write their own copy.
+    every block, so one plan serves one process at a time.
     """
 
     def __init__(self, powers: tuple[np.ndarray, np.ndarray], words: int):
@@ -310,8 +314,15 @@ def _loglog_power(x: int, exponent: int) -> float:
     return math.log(math.log(x)) ** max(exponent, 0)
 
 
-@dataclass(frozen=True)
-class CountKind:
+def _constants():
+    """The module of the Euler products and C(N), loaded by the first predictor
+    that uses it: a D_1ab count never does."""
+    from . import constants
+
+    return constants
+
+
+class CountKind(NamedTuple):
     """What one counting kind counts, and its main-term predictor.
 
     An integer n >= 2 is counted when Omega(n) <= head (None: n is prime) and
@@ -331,7 +342,10 @@ class CountKind:
 KINDS = {
     "pi_1ab": CountKind(
         ("a", "b"), 0, None, ((2, "a"), (6, "b")), None,
-        lambda x, p: constant_C3().value * x / math.log(x) ** 3 * _loglog_power(x, p["a"] - 2),
+        lambda x, p: (
+            _constants().constant_C3().value * x / math.log(x) ** 3
+            * _loglog_power(x, p["a"] - 2)
+        ),
     ),
     "D_1ab": CountKind(
         ("a", "b"), 8, None, ((6, "b"),), "a",
@@ -339,16 +353,23 @@ KINDS = {
     ),
     "pi_1r": CountKind(
         ("r",), 0, None, ((2, "r"),), None,
-        lambda x, p: constant_C2().value * x / math.log(x) ** 2 * _loglog_power(x, p["r"] - 2),
+        lambda x, p: (
+            _constants().constant_C2().value * x / math.log(x) ** 2
+            * _loglog_power(x, p["r"] - 2)
+        ),
     ),
     "D_1r": CountKind(
         ("r",), 4, None, (), "r",
-        lambda N, p: singular_series_CN(N) * N / math.log(N) ** 2 * _loglog_power(N, p["r"] - 2),
+        lambda N, p: (
+            _constants().singular_series_CN(N) * N / math.log(N) ** 2
+            * _loglog_power(N, p["r"] - 2)
+        ),
     ),
     "D_sr": CountKind(
         ("s", "r"), 4, "s", (), "r",
         lambda N, p: (
-            singular_series_CN(N) * N / math.log(N) ** 2 * _loglog_power(N, p["s"] + p["r"] - 3)
+            _constants().singular_series_CN(N) * N / math.log(N) ** 2
+            * _loglog_power(N, p["s"] + p["r"] - 3)
         ),
     ),
 }
@@ -387,18 +408,23 @@ def _hits(mask: np.ndarray, tmp: np.ndarray, om: np.ndarray, at: int, head: int,
     return mask
 
 
-def _unit_sum(work: Callable[[tuple[int, int]], np.ndarray], units: Sequence[tuple[int, int]],
+_Work = Callable[[tuple[int, int]], np.ndarray]  # a unit's counts, as int64
+
+
+def _unit_sum(make_work: Callable[[], _Work], units: Sequence[tuple[int, int]],
               length: int) -> np.ndarray:
-    """The sum of work(unit) over units, each an int64 array of that length."""
+    """The sum of work(unit) over units, each an int64 array of that length, for
+    one work = make_work() built here: a forked worker builds its own."""
+    work = make_work()
     total = np.zeros(length, dtype=np.int64)
     for unit in units:
         total += work(unit)
     return total
 
 
-def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
+def _fork_worker(make_work: Callable[[], _Work],
                  units: Sequence[tuple[int, int]], length: int) -> tuple[int, BinaryIO]:
-    """Fork a child that writes _unit_sum(work, units, length) to a pipe and
+    """Fork a child that writes _unit_sum(make_work, units, length) to a pipe and
     leaves by os._exit, 0 only after a complete write; its pid and the pipe."""
     read, write = os.pipe()
     try:
@@ -419,7 +445,7 @@ def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
         status = 1
         try:
             os.close(read)
-            data = memoryview(_unit_sum(work, units, length)).cast("B")
+            data = memoryview(_unit_sum(make_work, units, length)).cast("B")
             while data:
                 data = data[os.write(write, data):]
             status = 0
@@ -431,20 +457,20 @@ def _fork_worker(work: Callable[[tuple[int, int]], np.ndarray],
     return pid, open(read, "rb")
 
 
-def _forked_sum(work: Callable[[tuple[int, int]], np.ndarray],
+def _forked_sum(make_work: Callable[[], _Work],
                 units: Sequence[tuple[int, int]], workers: int, length: int) -> np.ndarray:
     """_unit_sum over units on workers forked processes: worker k takes units[k::workers].
 
     The caller only coordinates: it forks every worker, then reads each one's
-    partial sum and reaps it, and sieves nothing itself, so no set of segment
-    buffers is faulted in beside the code pages only it has mapped.  A worker
-    that exits non-zero, dies by a signal or sends short data raises
+    partial sum and reaps it.  It never calls make_work, so no plan or set of
+    segment buffers is built beside the code pages only it has mapped.  A
+    worker that exits non-zero, dies by a signal or sends short data raises
     RuntimeError; on any exception the workers left are killed and reaped.
     """
     children: dict[int, BinaryIO] = {}  # pid -> its pipe
     try:
         for k in range(workers):
-            pid, pipe = _fork_worker(work, units[k::workers], length)
+            pid, pipe = _fork_worker(make_work, units[k::workers], length)
             children[pid] = pipe
         total = np.zeros(length, dtype=np.int64)
         for pid, pipe in list(children.items()):
@@ -496,10 +522,11 @@ def _sieve_count(
     the pad on is Omega(N - n) for the unit's n, and counts both the n and their
     partners N - n from the pair; the unit ends just past an n, so with step 2
     both segments start on an odd n.
-    A count builds one _Plan and one set of buffers, sized by its longest unit,
-    so memory is O(segment) per worker for every kind and a unit allocates
-    nothing of that size.  Unit counts are added as integers, so the result does
-    not depend on the worker count.
+    Each process that sieves builds one _Plan and one set of buffers, sized by
+    the longest unit, so memory is O(segment) per worker for every kind and a
+    unit allocates nothing of that size.  A forking caller builds neither: it
+    keeps only the prime table, which the even prime's check reads.  Unit counts
+    are added as integers, so the result does not depend on the worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
@@ -512,45 +539,50 @@ def _sieve_count(
     first = 2 if step == 1 else 3
     units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
              for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
-    # one plan and one set of buffers serve every unit; only the workers write
-    # them, after any fork, so each worker faults its own copy in once
     width = max((span for _, span in units), default=0) + padw
-    plan = _Plan(_prime_powers(size + pad + 1, base_primes, step), width)
-    own = np.empty(width, dtype=np.uint8)
-    rev = np.empty(width, dtype=np.uint8) if mirror is not None else None
-    # the masks live in the plan's word buffer, so they start only once every
-    # block of a unit is sieved: 2 (width + 1) bytes hold two spans
-    masks = plan.block.view(np.bool_)
 
-    def work(unit: tuple[int, int]) -> np.ndarray:
-        lo, span = unit
-        hi = lo + step * (span - 1) + 1  # just past the unit's last n
-        n = span + padw
-        lower = _omega_block(lo, hi + pad, base_primes, step, plan, out=own[:n])
-        if mirror is None:
-            mask = _hits(masks[:span], masks[span : 2 * span], lower, 0, head, strided)
-            if np.any((marks >= lo) & (marks < hi - 1)):  # a mark inside the unit
-                return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
-            return np.where(marks >= hi - 1, np.count_nonzero(mask), 0)
-        # upper[k] is Omega(N - lo - step (k - padw)): upper[padw + i] pairs with lower[i]
-        upper = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, plan,
-                             out=rev[:n][::-1])[::-1]
-        mask, tmp = masks[:span], masks[span : 2 * span]
-        _hits(mask, tmp, lower, 0, head, strided)
-        mask &= np.less_equal(upper[padw : padw + span], mirror, out=tmp)
-        count = np.count_nonzero(mask)
-        # the partners N - n: their offsets n + off are N - n - off, padw - off words back
-        _hits(mask, tmp, upper, padw, head, tuple((-off, bound) for off, bound in strided))
-        mask &= np.less_equal(lower[:span], mirror, out=tmp)
-        if 2 * (hi - 1) == size:  # n = N/2 is its own partner: counted in the lower half only
-            mask[-1] = False
-        return np.array([count + np.count_nonzero(mask)])
+    def make_work() -> _Work:
+        """work(unit) over one plan and one set of buffers that serve every unit
+        this process takes; built in that process, so a worker faults in only
+        its own, once."""
+        plan = _Plan(_prime_powers(size + pad + 1, base_primes, step), width)
+        own = np.empty(width, dtype=np.uint8)
+        rev = np.empty(width, dtype=np.uint8) if mirror is not None else None
+        # the masks live in the plan's word buffer, so they start only once every
+        # block of a unit is sieved: 2 (width + 1) bytes hold two spans
+        masks = plan.block.view(np.bool_)
+
+        def work(unit: tuple[int, int]) -> np.ndarray:
+            lo, span = unit
+            hi = lo + step * (span - 1) + 1  # just past the unit's last n
+            n = span + padw
+            lower = _omega_block(lo, hi + pad, base_primes, step, plan, out=own[:n])
+            if mirror is None:
+                mask = _hits(masks[:span], masks[span : 2 * span], lower, 0, head, strided)
+                if np.any((marks >= lo) & (marks < hi - 1)):  # a mark inside the unit
+                    return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
+                return np.where(marks >= hi - 1, np.count_nonzero(mask), 0)
+            # upper[k] is Omega(N - lo - step (k - padw)): upper[padw + i] pairs with lower[i]
+            upper = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, plan,
+                                 out=rev[:n][::-1])[::-1]
+            mask, tmp = masks[:span], masks[span : 2 * span]
+            _hits(mask, tmp, lower, 0, head, strided)
+            mask &= np.less_equal(upper[padw : padw + span], mirror, out=tmp)
+            count = np.count_nonzero(mask)
+            # the partners N - n: their offsets n + off are N - n - off, padw - off words back
+            _hits(mask, tmp, upper, padw, head, tuple((-off, bound) for off, bound in strided))
+            mask &= np.less_equal(lower[:span], mirror, out=tmp)
+            if 2 * (hi - 1) == size:  # n = N/2 is its own partner: counted in the lower half only
+                mask[-1] = False
+            return np.array([count + np.count_nonzero(mask)])
+
+        return work
 
     workers = min(thread_count(), len(units), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
-        counts = _forked_sum(work, units, workers, len(marks))
+        counts = _forked_sum(make_work, units, workers, len(marks))
     else:
-        counts = _unit_sum(work, units, len(marks))
+        counts = _unit_sum(make_work, units, len(marks))
     if step == 2 and size >= 2:  # the even prime; base_primes covers sqrt(size + pad)
         two = all(_trial_omega(2 + off, base_primes) <= bound for off, bound in forward)
         if mirror is not None:

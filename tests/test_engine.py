@@ -329,10 +329,17 @@ def test_vacuous_offset_condition_at_1e9():
     assert count_pi_1ab(10**9, 2, 33).count == count_pi_1r(10**9, 2).count == 14176573
 
 
-def test_mirrored_kinds_agree_at_1e8():
-    # s = 1 makes D_sr's head a prime, and b = 33 makes D_1ab's p + 6 condition vacuous
-    N = 10**8
-    assert count_D_sr(N, 1, 2).count == count_D_1r(N, 2).count == count_D_1ab(N, 2, 33).count
+def test_mirrored_kinds_agree_at_1e9():
+    # s = 1 makes D_sr's head a prime, and b = 33 makes D_1ab's p + 6 condition
+    # vacuous: the full-width kernel against the odd-only one, on two paths
+    N = 10**9
+    assert count_D_sr(N, 1, 2).count == count_D_1r(N, 2).count == 17511214
+    assert count_D_1ab(N, 2, 33).count == 17511214
+
+
+def test_mirror_symmetry_at_1e9():
+    # n and N - n trade places, so the two bounds may be swapped
+    assert count_D_sr(10**9, 2, 3).count == count_D_sr(10**9, 3, 2).count == 130805910
 
 
 def test_factor_budgets_above_33_are_rejected():
@@ -412,7 +419,8 @@ def test_forks_never_exceed_the_cpu_count(monkeypatch, forks):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
-    # the caller only forks and adds: every block is sieved in a worker
+    # the caller only forks and adds: every plan is built and every block is
+    # sieved in a worker, which builds one plan per count
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
@@ -420,10 +428,17 @@ def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
     caller, kernel = os.getpid(), engine._omega_block
     read, write = os.pipe()
 
-    def recorded(*args, **kwargs):  # each process that sieves writes its pid to the pipe
-        os.write(write, f"{os.getpid()}\n".encode())
+    # each process that builds a plan or sieves a block writes its pid to the pipe
+    class RecordedPlan(engine._Plan):
+        def __init__(self, *args):
+            os.write(write, f"plan {os.getpid()}\n".encode())
+            super().__init__(*args)
+
+    def recorded(*args, **kwargs):
+        os.write(write, f"block {os.getpid()}\n".encode())
         return kernel(*args, **kwargs)
 
+    monkeypatch.setattr(engine, "_Plan", RecordedPlan)
     monkeypatch.setattr(engine, "_omega_block", recorded)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
     try:
@@ -431,8 +446,13 @@ def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
     finally:
         os.close(write)
         with open(read, "rb") as pipe:
-            sievers = {int(pid) for pid in pipe.read().split()}
+            lines = [line.split() for line in pipe.read().decode().splitlines()]
+    planners = [int(pid) for what, pid in lines if what == "plan"]
+    sievers = {int(pid) for what, pid in lines if what == "block"}
     assert sievers and caller not in sievers
+    # six counts of at least 4 units each: every one forks all its workers
+    assert len(planners) == len(set(planners)) == 6 * workers and caller not in planners
+    assert set(planners) == sievers
     _no_child_left()
 
 
