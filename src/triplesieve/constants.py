@@ -12,14 +12,13 @@ by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  C(N)
 rescales C2/2 by the odd prime divisors of N.  The remaining constants
 aggregate quadrature results: C0 sums the chain densities c_k, and the E/L
 coefficients evaluate the two role-reversal error displays with the Buchstab
-factor replaced by its numeric bound (an exact-w mode exists for L, whose
-display keeps w inside).
+factor replaced by its tail bound, 0.5617 for E and 0.5644 for L.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -139,35 +138,26 @@ def constant_C0() -> float:
     return float(chain_table()[-2:, -1].sum())
 
 
-@lru_cache(maxsize=8)
-def coefficient_E(w_bound: float = W_TAIL_BOUND_FROM_4) -> float:
+@cache
+def coefficient_E() -> float:
     """Role-reversal coefficient bounded by 0.00934.
 
-    w_bound multiplies the double integral
+    The tail bound w < 0.5617 (u >= 4) multiplies the double integral
     int_{1/13}^{1/8.4} dt1/t1 int_{t1}^{1/8.4} (1/t2)(1/t1 - 1/t2) log(1/(8.4 t2)) dt2;
-    the display has the Buchstab-bearing variables already integrated out, so
-    the bound constant is exposed as the replaceable factor.
+    the display has the Buchstab-bearing variables already integrated out.
     """
     from .quadrature import named_integral_value
 
-    return w_bound * named_integral_value("E")
+    return W_TAIL_BOUND_FROM_4 * named_integral_value("E")
 
 
-@lru_cache(maxsize=4)
-def coefficient_L(w_mode: str = "bound", w_bound: float = W_TAIL_BOUND_FROM_3) -> float:
+@cache
+def coefficient_L() -> float:
     """Four-fold role-reversal coefficient bounded by 0.04839.
 
-    w_mode 'bound' replaces the Buchstab factor by ``w_bound`` (the composed
-    argument always exceeds 3 on the domain, so the tail bound applies);
-    'exact' integrates the tabulated w itself, for comparison.
+    The Buchstab factor is replaced by its tail bound w < 0.5644 (u >= 3): the
+    composed argument always exceeds 3 on the domain.
     """
     from .quadrature import fourfold_with_buchstab, integrate_nested
-    from .sieve_functions import buchstab_w_many
 
-    if w_mode == "bound":
-        spec = fourfold_with_buchstab(lambda u: np.full_like(u, w_bound))
-    elif w_mode == "exact":
-        spec = fourfold_with_buchstab(buchstab_w_many, name="L.quadruple.exact")
-    else:
-        raise DomainError(f"w_mode must be 'bound' or 'exact', got {w_mode!r}")
-    return integrate_nested(spec)
+    return integrate_nested(fourfold_with_buchstab(lambda u: np.full_like(u, W_TAIL_BOUND_FROM_3)))

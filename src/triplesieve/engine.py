@@ -147,7 +147,7 @@ def _log_words(p: np.ndarray, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _wheel(step: int = 1) -> np.ndarray:
+def _wheel(step: int) -> np.ndarray:
     """Words of the wheel's prime powers for one period, n = 0 .. 360359; with
     step 2 only its odd n = 1, 3, .., 360359, a period of 180180 words, where
     an odd q strikes the odd multiples of q: index (q - 1) / 2, then every q-th."""
@@ -161,28 +161,12 @@ def _wheel(step: int = 1) -> np.ndarray:
     return wheel
 
 
-def _prime_powers(hi: int, base_primes: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel does
-    not cover, with the word each adds; at step 2 without the powers of 2."""
-    primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
-    primes = primes[primes > 2] if step == 2 else primes
-    primes = primes.astype(np.int64)
-    powers, words = [primes], [_log_words(primes, 1)]
-    q = primes
-    while len(q):  # q * p < hi holds for a prefix, since the primes ascend
-        p = primes[: len(q)]
-        q = (q * p)[q <= (hi - 1) // p]
-        powers.append(q)
-        words.append(_log_words(p[: len(q)], len(powers)))
-    powers, words = np.concatenate(powers), np.concatenate(words)
-    live = _WHEEL_PERIOD % powers != 0
-    return powers[live], words[live]
-
-
 class _Plan:
-    """The prime powers of a count laid out for blocks of at most `words` words,
-    with the buffers such a block is sieved in; built once in each process that
-    sieves the count, never in a caller that forks.
+    """The prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel
+    does not cover (at step 2 without the powers of 2), each with its word, laid
+    out for blocks of at most `words` words of that step, with the buffers such a
+    block is sieved in; built once in each process that sieves a count, never in
+    a caller that forks.
 
     A power with at least _SCATTER_HITS multiples in `words` indices is struck by
     one strided add.  Every other power owns a run of entries, one per multiple
@@ -195,10 +179,22 @@ class _Plan:
     every block, so one plan serves one process at a time.
     """
 
-    def __init__(self, powers: tuple[np.ndarray, np.ndarray], words: int):
-        q, adds = powers
+    def __init__(self, hi: int, base_primes: np.ndarray, step: int, words: int):
+        primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+        primes = primes[primes > 2] if step == 2 else primes
+        primes = primes.astype(np.int64)
+        powers, adds = [primes], [_log_words(primes, 1)]
+        q = primes
+        while len(q):  # q * p < hi holds for a prefix, since the primes ascend
+            p = primes[: len(q)]
+            q = (q * p)[q <= (hi - 1) // p]
+            powers.append(q)
+            adds.append(_log_words(p[: len(q)], len(powers)))
+        q, adds = np.concatenate(powers), np.concatenate(adds)
+        live = _WHEEL_PERIOD % q != 0
+        q, adds = q[live], adds[live]
         many = q * _SCATTER_HITS <= words
-        self.words = words
+        self.step, self.words = step, words
         self.powers = np.concatenate([q[many], q[~many]])  # strided first
         self.strided = list(zip(q[many].tolist(), adds[many]))
         q = q[~many]
@@ -213,25 +209,19 @@ class _Plan:
         self.block = np.empty(words + 1, dtype=np.uint16)
 
 
-def _omega_block(
-    lo: int, hi: int, base_primes: np.ndarray, step: int = 1,
-    powers: tuple[np.ndarray, np.ndarray] | _Plan | None = None,
-    *, out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Omega(n) for n in [lo, hi) given primes covering sqrt(hi - 1).
+def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Omega(n) for n in [lo, hi), sieved in the buffers of a plan built for
+    some h >= hi, primes covering sqrt(h - 1), and at least this block's words.
 
-    With step 2, lo is odd and only the odd n of [lo, hi) are sieved: index i
-    stands for n = lo + 2i.  The wheel is then its odd half, the powers of 2
-    are dropped, and an odd q strikes every q-th index from the i with
-    lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed as
-    half the first even offset (-lo) % q or (-lo) % q + q, which stays in int64.
-    powers, if given, is _prime_powers(h, primes, step) for any h >= hi and
-    primes covering sqrt(h - 1), built once for many blocks, or a _Plan of them
-    for blocks of at least this one's length, whose buffers the block is then
-    sieved in.  Its extra powers strike nothing below hi, or move a prime above
-    sqrt(hi - 1) from c into m below, which leaves c 1 or one prime as the
-    proof needs.  out, if given, receives the result: a uint8 array, or view
-    (a reversed one, say), of one element per word.
+    With the plan's step 2, lo is odd and only the odd n of [lo, hi) are
+    sieved: index i stands for n = lo + 2i.  The wheel is then its odd half, the
+    powers of 2 are dropped, and an odd q strikes every q-th index from the i
+    with lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed
+    as half the first even offset (-lo) % q or (-lo) % q + q, which stays in
+    int64.  The plan's powers above hi strike nothing below hi, or move a prime
+    above sqrt(hi - 1) from c into m below, which leaves c 1 or one prime as
+    the proof needs.  out, if given, receives the result: a uint8 array, or
+    view (a reversed one, say), of one element per word.
 
     Each n has one uint16 word 1024 Omega(m) - S, for the part m of n found
     so far and its log sum S at scale 32.  The k-th power of p adds
@@ -253,12 +243,11 @@ def _omega_block(
     word carries into its Omega field exactly when S < T (14 <= T < 729), and
     the shift by 10 then leaves Omega(n).
     """
+    step = plan.step
     n = (hi - lo + step - 1) // step  # words
     out = np.empty(n, dtype=np.uint8) if out is None else out
     if n == 0:
         return out
-    plan = powers if isinstance(powers, _Plan) else _Plan(
-        _prime_powers(hi, base_primes, step) if powers is None else powers, n)
     if n > plan.words:
         raise ValueError(f"a block of {n} words needs a plan for at least {n}, not {plan.words}")
     words = plan.block[: n + 1]  # words[n] is the slack word
@@ -302,7 +291,8 @@ def sieve_omega(lo: int, hi: int) -> OmegaSegment:
         raise DomainError(f"need 2 <= lo <= hi <= {MAX_SIEVE_BOUND}, got [{lo}, {hi})")
     if hi - lo > SEGMENT_CAP:
         raise CapacityError(f"segment of {hi - lo} exceeds cap {SEGMENT_CAP}")
-    return OmegaSegment(lo, _omega_block(lo, hi, primes_up_to(math.isqrt(max(hi - 1, 2)))))
+    plan = _Plan(hi, primes_up_to(math.isqrt(max(hi - 1, 2))), 1, hi - lo)
+    return OmegaSegment(lo, _omega_block(lo, hi, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +535,7 @@ def _sieve_count(
         """work(unit) over one plan and one set of buffers that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        plan = _Plan(_prime_powers(size + pad + 1, base_primes, step), width)
+        plan = _Plan(size + pad + 1, base_primes, step, width)
         own = np.empty(width, dtype=np.uint8)
         rev = np.empty(width, dtype=np.uint8) if mirror is not None else None
         # the masks live in the plan's word buffer, so they start only once every
@@ -556,15 +546,14 @@ def _sieve_count(
             lo, span = unit
             hi = lo + step * (span - 1) + 1  # just past the unit's last n
             n = span + padw
-            lower = _omega_block(lo, hi + pad, base_primes, step, plan, out=own[:n])
+            lower = _omega_block(lo, hi + pad, plan, out=own[:n])
             if mirror is None:
                 mask = _hits(masks[:span], masks[span : 2 * span], lower, 0, head, strided)
                 if np.any((marks >= lo) & (marks < hi - 1)):  # a mark inside the unit
                     return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
                 return np.where(marks >= hi - 1, np.count_nonzero(mask), 0)
             # upper[k] is Omega(N - lo - step (k - padw)): upper[padw + i] pairs with lower[i]
-            upper = _omega_block(size - hi + 1, size - lo + 1 + pad, base_primes, step, plan,
-                                 out=rev[:n][::-1])[::-1]
+            upper = _omega_block(size - hi + 1, size - lo + 1 + pad, plan, out=rev[:n][::-1])[::-1]
             mask, tmp = masks[:span], masks[span : 2 * span]
             _hits(mask, tmp, lower, 0, head, strided)
             mask &= np.less_equal(upper[padw : padw + span], mirror, out=tmp)

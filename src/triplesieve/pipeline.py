@@ -4,17 +4,18 @@ Every term scalarizes to
 
     coefficient = 4 / (delta1 * delta2) * extra_factor * brace_value
 
-where delta1, delta2 are the two level-of-distribution exponents carried by
-the term (0.475 and 0.025 for the main table, giving prefactor 6400/19 =
-336.8421...), the extra factor is 1, 0.475, a named 1-D integral, or one of
-the aggregated constants (E, L, C0), and the brace combines the sieve curves:
+where delta1, delta2 are the two level-of-distribution exponents of the
+table, 0.475 and 0.025 for every term (prefactor 6400/19 = 336.8421...), the
+extra factor is 1, 0.475, a named 1-D integral, or one of the aggregated
+constants (E, L, C0), and the brace combines the sieve curves:
 lower-direction braces f1*F2 + F1*f2 - F1*F2, upper-direction braces F1*F2.
-The rule reproduces the uniform two-sided bound exactly: with both exponents
-0.2 and both curves at s = 2 it collapses to 4/(0.2*0.2) * 1 = 100.
+The rule reproduces the uniform two-sided bound exactly: with both uniform
+exponents 0.2 and both curves at s = 2 it collapses to 4/(0.2*0.2) * 1 = 100.
 
-The term table is data (data/bound_terms.json), not code: labels, directions,
-exponents, extra-factor references, brace slots, and the published decimal
-strings they are compared against.
+The term table is data (data/bound_terms.json), not code: the two pairs of
+exponents, and per term its label, direction, extra-factor reference, brace
+slots and the published decimal string it is compared against.  The package
+reads only that shipped file.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
-from pathlib import Path
 
 from . import constants
 from .errors import DomainError
@@ -72,49 +72,31 @@ class BoundTerm:
         return float(self.paper_value)
 
 
-def _manifest_text(path: str | Path | None) -> str:
-    if path is not None:
-        return Path(path).read_text()
+@cache
+def load_manifest() -> dict:
+    """The term manifest shipped in the package, data/bound_terms.json."""
     # data/ is not a package (no __init__.py), so reach it from the package
     # root: a namespace package cannot be imported from a zipped install
-    return resources.files("triplesieve").joinpath("data/bound_terms.json").read_text()
+    return json.loads(resources.files("triplesieve").joinpath("data/bound_terms.json").read_text())
 
 
-@lru_cache(maxsize=4)
-def load_manifest(path: str | Path | None = None) -> dict:
-    doc = json.loads(_manifest_text(path))
-    if doc.get("schema") != 1:
-        raise ManifestError(f"unsupported manifest schema {doc.get('schema')!r}")
-    for key in ("deltas", "terms", "aggregates", "auxiliary"):
-        if key not in doc:
-            raise ManifestError(f"manifest missing section {key!r}")
-    return doc
-
-
-@lru_cache(maxsize=4)
-def load_terms(path: str | Path | None = None) -> dict[str, BoundTerm]:
-    doc = load_manifest(path)
-    deltas = doc["deltas"]
-    terms: dict[str, BoundTerm] = {}
-    for row in doc["terms"]:
-        label = row.get("label")
-        if label in terms:
-            raise ManifestError(f"duplicate term {label!r}")
-        if row.get("direction") not in ("lower", "upper"):
-            raise ManifestError(f"{label}: bad direction {row.get('direction')!r}")
-        terms[label] = BoundTerm(
-            label=label,
+@cache
+def load_terms() -> dict[str, BoundTerm]:
+    """The manifest's sixteen terms by label, each with the table's exponents."""
+    doc = load_manifest()
+    delta1, delta2 = Fraction(doc["deltas"]["delta1"]), Fraction(doc["deltas"]["delta2"])
+    return {
+        row["label"]: BoundTerm(
+            label=row["label"],
             direction=row["direction"],
-            delta1=Fraction(row.get("delta1", deltas["delta1"])),
-            delta2=Fraction(row.get("delta2", deltas["delta2"])),
+            delta1=delta1,
+            delta2=delta2,
             extra=row["extra"],
             brace=row["brace"],
             paper_value=row["paper_value"],
         )
-    missing = set(TERM_LABELS) - set(terms)
-    if missing:
-        raise ManifestError(f"manifest missing terms {sorted(missing)}")
-    return terms
+        for row in doc["terms"]
+    }
 
 
 def _extra_value(extra: dict) -> float:
@@ -187,18 +169,20 @@ def combine_lemma31() -> CombinedBounds:
 
 
 def upper_bound_constant() -> float:
-    """The two-sided sifting constant: exponents 0.2/0.2, both curves at s = 2.
+    """The two-sided sifting constant: the manifest's uniform exponents 0.2/0.2,
+    both curves at s = 2.
 
     Fraction arithmetic keeps the prefactor exact, so the result is the float
     100.0 with no tunable input.
     """
-    prefactor = 4 / (Fraction("0.2") * Fraction("0.2"))
+    deltas = load_manifest()["uniform_deltas"]
+    prefactor = 4 / (Fraction(deltas["delta1"]) * Fraction(deltas["delta2"]))
     return float(prefactor) * upper_F0(2.0) * upper_F0(2.0)
 
 
-def published_sums(path: str | Path | None = None) -> dict[str, float]:
+def published_sums() -> dict[str, float]:
     """Aggregate targets parsed from their exact decimal strings."""
-    return {k: float(v) for k, v in load_manifest(path)["aggregates"].items()}
+    return {k: float(v) for k, v in load_manifest()["aggregates"].items()}
 
 
 def verification_report(
@@ -228,7 +212,7 @@ def verification_report(
 
     checks: list[ConstantCheck] = []
 
-    def add(label, computed, paper, direction, note=""):
+    def add(label, computed, paper, direction, note):
         checks.append(make_check(label, computed, paper, direction, tol(label), note))
 
     c3 = float(aux["C3"]) if use_paper_values else constants.constant_C3().value

@@ -8,8 +8,8 @@ Three layers live here:
 * ``integrate_nested`` — iterated integrals of depth 1..4 whose limits are
   functions of the outer variables.  Evaluated as a tensor-product
   Gauss–Legendre rule, refined on a node ladder until two successive
-  evaluations agree to the spec tolerance.  Empty ranges (upper <= lower)
-  contribute exactly 0.
+  evaluations agree to 1e-9, the one tolerance every display uses.  Empty
+  ranges (upper <= lower) contribute exactly 0.
 * ``_unit_delay`` — curves that are constant on [1, 2] and above it solve a
   delay system y'(t) = slope(t-1, y(t-1)), integrated one unit block at a time
   on a uniform grid: each block is its left-end value plus the Euler–Maclaurin
@@ -105,9 +105,9 @@ def log_shift_integral(c: float, d: float, a: float, b: float) -> float:
 # Nested iterated integrals with variable limits
 # ---------------------------------------------------------------------------
 
-MAX_DEPTH = 4
-
-# node-count ladders per depth; refinement stops at the first agreement
+# node-count ladders per depth, 1 to 4; refinement stops at the first agreement
+# within _TOLERANCE, the absolute target of every display
+_TOLERANCE = 1e-9
 _LADDERS = {
     1: (16, 24, 32, 48, 64, 96, 128),
     2: (16, 24, 32, 48, 64, 96),
@@ -122,24 +122,22 @@ class IntegralSpec:
 
     Level-i limits are scalars or callables of the i outer variables
     (vectorized over numpy arrays); the integrand takes all ``depth``
-    variables.  ``tolerance`` is the absolute target for the whole integral.
+    variables, one per limit pair, 1 to 4 of them.
     """
 
     name: str
-    depth: int
     limits: tuple[tuple[Limit, Limit], ...]
     integrand: Kernel
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise DomainError(f"depth must be 1..{MAX_DEPTH}, got {self.depth}")
-        if len(self.limits) != self.depth:
-            raise DomainError(f"{self.name!r}: {len(self.limits)} limit pairs for depth {self.depth}")
+        if self.depth not in _LADDERS:
+            raise DomainError(f"{self.name!r}: depth must be 1..{len(_LADDERS)}, got {self.depth}")
         if callable(self.limits[0][0]) or callable(self.limits[0][1]):
             raise DomainError(f"{self.name!r}: outermost limits must be constants")
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
+
+    @property
+    def depth(self) -> int:
+        return len(self.limits)
 
 
 @lru_cache(maxsize=32)
@@ -182,15 +180,15 @@ def _tensor_value(spec: IntegralSpec, n: int) -> float:
 
 
 def integrate_nested(spec: IntegralSpec) -> float:
-    """Evaluate a depth-1..4 iterated integral to its spec tolerance."""
+    """Evaluate a depth-1..4 iterated integral to an absolute 1e-9 (_TOLERANCE)."""
     prev: float | None = None
     for n in _LADDERS[spec.depth]:
         val = _tensor_value(spec, n)
-        if prev is not None and abs(val - prev) <= max(spec.tolerance, 1e-13 * abs(val)):
+        if prev is not None and abs(val - prev) <= max(_TOLERANCE, 1e-13 * abs(val)):
             return val
         prev = val
     raise EvaluationError(
-        f"nested integral {spec.name!r} did not converge to {spec.tolerance} "
+        f"nested integral {spec.name!r} did not converge to {_TOLERANCE} "
         f"on the node ladder {_LADDERS[spec.depth]}"
     )
 
@@ -211,30 +209,30 @@ def _catalogue() -> dict[str, tuple[IntegralSpec, ...]]:
         return 1.0 / (t1 * t2 * (0.475 - t1 - t2))
 
     G1 = IntegralSpec(
-        "G.double", 2,
+        "G.double",
         ((lo13, hi84), (lambda t1: t1, hi84)),
         wedge,
     )
     G2 = IntegralSpec(
-        "G.triple", 3,
+        "G.triple",
         ((lo13, hi84), (lambda t1: t1, hi84),
          (2.0, lambda t1, t2: 5.175 - 13 * (t1 + t2))),
         lambda t1, t2, t3: np.log(t3 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3),
     )
     g1 = IntegralSpec(
-        "g.double", 2,
+        "g.double",
         ((lo13, hi84), (lambda t1: t1, hi84)),
         lambda t1, t2: np.log(5.175 - 13 * (t1 + t2)) / (t1 * t2 * (0.475 - t1 - t2)),
     )
     g2 = IntegralSpec(
-        "g.quadruple", 4,
+        "g.quadruple",
         ((lo13, 2.175 / 26), (lambda t1: t1, lambda t1: 2.175 / 13 - t1),
          (3.0, lambda t1, t2: 5.175 - 13 * (t1 + t2)),
          (2.0, lambda t1, t2, t3: t3 - 1.0)),
         lambda t1, t2, t3, t4: np.log(t4 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3 * t4),
     )
     H1 = IntegralSpec(
-        "H.double", 2,
+        "H.double",
         ((lo13, hi84), (hi84, lambda t1: 0.475 - 2 / 13 - t1)),
         wedge,
     )
@@ -242,31 +240,31 @@ def _catalogue() -> dict[str, tuple[IntegralSpec, ...]]:
     # t3 integral; clipping at 3.175/13 - t1 drops only a zero contribution
     # and keeps the outer integrand smooth
     H2 = IntegralSpec(
-        "H.triple", 3,
+        "H.triple",
         ((lo13, hi84),
          (hi84, lambda t1: np.minimum(0.475 - 2 / 13 - t1, 3.175 / 13 - t1)),
          (2.0, lambda t1, t2: 5.175 - 13 * (t1 + t2))),
         lambda t1, t2, t3: np.log(t3 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3),
     )
     h1 = IntegralSpec(
-        "h.double", 2,
+        "h.double",
         ((lo13, hi84), (hi84, lambda t1: 0.475 - 2 / 13 - t1)),
         lambda t1, t2: np.log(5.175 - 13 * (t1 + t2)) / (t1 * t2 * (0.475 - t1 - t2)),
     )
 
     def role_reversal(name: str, first_upper: float) -> tuple[IntegralSpec, ...]:
         single = IntegralSpec(
-            f"{name}.single", 1,
+            f"{name}.single",
             ((lo13, first_upper),),
             lambda t: 1.0 / (t * (0.475 - t)),
         )
         double = IntegralSpec(
-            f"{name}.double", 2,
+            f"{name}.double",
             ((lo13, 0.475 - 3 / 13), (2.0, lambda t1: 5.175 - 13 * t1)),
             lambda t1, t2: np.log(t2 - 1.0) / (t1 * (0.475 - t1) * t2),
         )
         triple = IntegralSpec(
-            f"{name}.triple", 3,
+            f"{name}.triple",
             ((lo13, 0.475 - 5 / 13), (2.0, lambda t1: 3.175 - 13 * t1),
              (lambda t1, t2: t2 + 2.0, 5.175)),
             lambda t1, t2, t3: (
@@ -277,7 +275,7 @@ def _catalogue() -> dict[str, tuple[IntegralSpec, ...]]:
         return single, double, triple
 
     E = IntegralSpec(
-        "E.double", 2,
+        "E.double",
         ((lo13, hi84), (lambda t1: t1, hi84)),
         lambda t1, t2: (1.0 / t1 - 1.0 / t2) * np.log(1.0 / (8.4 * t2)) / (t1 * t2),
     )
@@ -312,7 +310,7 @@ def named_integral_value(name: str) -> float:
     return sum(integrate_nested(spec) for spec in named_integral_specs(name))
 
 
-def fourfold_with_buchstab(w_of_u: Kernel, name: str = "L.quadruple") -> IntegralSpec:
+def fourfold_with_buchstab(w_of_u: Kernel) -> IntegralSpec:
     """The four-fold display whose kernel carries a Buchstab factor.
 
     ``w_of_u`` receives the composed argument (1 - t1 - t2 - t3 - t4)/t2
@@ -321,7 +319,7 @@ def fourfold_with_buchstab(w_of_u: Kernel, name: str = "L.quadruple") -> Integra
     """
     lo13, hi84 = 1 / 13, 1 / 8.4
     return IntegralSpec(
-        name, 4,
+        "L.quadruple",
         ((lo13, hi84), (lambda t1: t1, hi84), (lambda t1, t2: t2, hi84),
          (hi84, lambda t1, t2, t3: 0.475 - 2 / 13 - t3)),
         lambda t1, t2, t3, t4: (

@@ -23,7 +23,7 @@ class ConstantCheck:
     direction: str
     tolerance: float
     passed: bool
-    note: str = ""
+    note: str
 
     @property
     def rel_diff(self) -> float:
@@ -42,7 +42,7 @@ def make_check(
     paper: float,
     direction: str,
     tolerance: float,
-    note: str = "",
+    note: str,
 ) -> ConstantCheck:
     """Build a ConstantCheck with the direction-aware pass rule applied."""
     if direction not in DIRECTIONS:

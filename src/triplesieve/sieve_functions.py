@@ -102,16 +102,12 @@ def buchstab_w_many(u: np.ndarray) -> np.ndarray:
     return np.where(u <= 2.0, 1.0, _hermite(y[2], dy[2], u)) / u
 
 
-def verify_buchstab_bounds(grid_step: float = 0.01, u_max: float = W_MAX) -> list[ConstantCheck]:
-    """Check the three tail bounds of w on [2, u_max] at every grid point.
+def verify_buchstab_bounds() -> list[ConstantCheck]:
+    """Check the three tail bounds of w at every point of the 0.01 grid on [2, 64].
 
-    Returns one ConstantCheck per bound whose start lies inside [2, u_max];
-    `computed` is the grid maximum of w on that range.
+    Returns one ConstantCheck per bound; `computed` is the grid maximum of w
+    from that bound's start to 64.
     """
-    if not 0.0 < grid_step <= 0.01:
-        raise DomainError("grid_step must be positive and at most 0.01")
-    if not 2.0 <= u_max <= W_MAX:
-        raise DomainError(f"u_max must lie in [2, {W_MAX}]")
     bounds = (
         ("w_max_from_2", 2.0, W_BOUND_FROM_2, "w(u) <= 1/1.763 for u >= 2"),
         ("w_max_from_3", 3.0, W_TAIL_BOUND_FROM_3, "w(u) < 0.5644 for u >= 3"),
@@ -119,11 +115,7 @@ def verify_buchstab_bounds(grid_step: float = 0.01, u_max: float = W_MAX) -> lis
     )
     checks = []
     for label, lo, bound, note in bounds:
-        if lo > u_max:
-            continue
-        count = int(round((u_max - lo) / grid_step))
-        points = np.linspace(lo, lo + count * grid_step, count + 1)
-        points = points[points <= u_max + 1e-12]
+        points = np.linspace(lo, W_MAX, round((W_MAX - lo) * 100) + 1)
         peak = float(buchstab_w_many(points).max())
         checks.append(make_check(label, peak, bound, "upper", 0.0, note))
     return checks

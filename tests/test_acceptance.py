@@ -96,7 +96,7 @@ def test_acceptance_02_sieve_curve_spot_values():
 
 
 def test_acceptance_03_buchstab_bounds():
-    checks = ts.verify_buchstab_bounds(0.01)
+    checks = ts.verify_buchstab_bounds()
     bounds_ok = all(c.passed for c in checks)
     w3 = ts.buchstab_w(3.0)
     value_ok = abs(w3 - (1 + math.log(2)) / 3) <= 1e-6

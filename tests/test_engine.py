@@ -13,6 +13,7 @@ from triplesieve.engine import (
     SEGMENT_CAP,
     SEGMENT_SIZE,
     _omega_block,
+    _Plan,
     TripleCountResult,
     count_D_1ab,
     count_D_1r,
@@ -69,7 +70,7 @@ def test_omega_random_windows_at_large_bases(base):
 
 def _assert_kernel_matches_oracle(lo, hi, step=1):
     base_primes = primes_up_to(math.isqrt(max(hi - 1, 2)))
-    got = _omega_block(lo, hi, base_primes, step)
+    got = _omega_block(lo, hi, _Plan(hi, base_primes, step, (hi - lo + step - 1) // step))
     want = oracles.omega_block_residual(lo, hi, base_primes)[::step]
     assert got.dtype == np.uint8 and len(got) == len(want)
     mismatches = np.nonzero(got != want)[0]
@@ -117,14 +118,22 @@ def test_kernel_matches_residual_oracle_at_word_limits(lo, hi, step):
 
 
 def test_kernel_takes_the_prime_powers_of_a_larger_bound():
-    # a count builds one table of prime powers, for its largest n, for every block
+    # a count builds one plan, for its largest n and its longest block, for every block
     primes = primes_up_to(10**5)
     for step in (1, 2):
-        powers = engine._prime_powers(10**10, primes, step)
+        plan = _Plan(10**10, primes, step, 100_002)
         for lo, hi in ((3, 1001), (999_999, 1_100_001), (10**10 - 2001, 10**10)):
             want = oracles.omega_block_residual(lo, hi, primes_up_to(math.isqrt(hi - 1)))
-            got = _omega_block(lo, hi, primes, step, powers)
+            got = _omega_block(lo, hi, plan)
             assert np.array_equal(got, want[::step]), (lo, step)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_kernel_rejects_a_block_longer_than_its_plan(step):
+    plan = _Plan(10**6, primes_up_to(1000), step, 1000)
+    _omega_block(3, 3 + 1000 * step, plan)  # as long as the plan: sieved
+    with pytest.raises(ValueError, match="needs a plan for at least 1001"):
+        _omega_block(3, 3 + 1001 * step, plan)
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 2), (2, 3), (2, 4), (2, 50), (99, 100)])
@@ -282,7 +291,7 @@ def test_odd_wheel_is_the_odd_half_of_the_full_wheel():
         for k in range(1, 4):
             if engine._WHEEL_PERIOD % p**k == 0:
                 wheel[n % p**k == 0] += engine._log_words(np.array([p]), k)[0]
-    assert np.array_equal(engine._wheel(), wheel)
+    assert np.array_equal(engine._wheel(1), wheel)
     assert np.array_equal(engine._wheel(2), wheel[1::2])
 
 

@@ -156,24 +156,10 @@ def test_w_domain():
 
 
 def test_w_bounds_all_pass_at_centistep():
-    checks = verify_buchstab_bounds(0.01)
+    checks = verify_buchstab_bounds()
     assert [c.label for c in checks] == ["w_max_from_2", "w_max_from_3", "w_max_from_4"]
     assert all(c.passed for c in checks)
     assert all(c.direction == "upper" for c in checks)
-
-
-def test_w_bounds_degenerate_single_point():
-    checks = verify_buchstab_bounds(0.01, u_max=2.0)
-    assert len(checks) == 1
-    assert checks[0].computed == pytest.approx(0.5, abs=1e-12)
-    assert checks[0].passed
-
-
-def test_w_bounds_grid_step_validation():
-    with pytest.raises(DomainError):
-        verify_buchstab_bounds(0.02)
-    with pytest.raises(DomainError):
-        verify_buchstab_bounds(0.0)
 
 
 def test_w_late_range_stays_near_limit():
