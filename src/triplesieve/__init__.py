@@ -25,14 +25,11 @@ _EXPORTS = {
     ),
     "errors": ("CapacityError", "DomainError", "EvaluationError"),
     "pipeline": (
-        "BoundTerm", "CombinedBounds", "combine_lemma31", "term_coefficient",
-        "upper_bound_constant", "verification_report",
+        "BoundTerm", "CombinedBounds", "ConstantCheck", "combine_lemma31", "term_coefficient",
+        "upper_bound_constant", "verification_report", "verify_buchstab_bounds",
     ),
     "quadrature": ("IntegralSpec", "integrate_nested", "named_integral_value"),
-    "reporting": ("ConstantCheck",),
-    "sieve_functions": (
-        "buchstab_w", "lower_f0", "upper_F0", "verify_buchstab_bounds",
-    ),
+    "sieve_functions": ("buchstab_w", "lower_f0", "upper_F0"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

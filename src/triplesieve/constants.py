@@ -31,8 +31,11 @@ from .primes import primes_up_to
 
 MAX_FACTORABLE_N = 10**12
 
-W_TAIL_BOUND_FROM_4 = 0.5617
+# the paper's bounds on the Buchstab function w: w(u) <= 1/1.763 for u >= 2,
+# w(u) < 0.5644 for u >= 3 and w(u) < 0.5617 for u >= 4
+W_BOUND_FROM_2 = 1 / 1.763
 W_TAIL_BOUND_FROM_3 = 0.5644
+W_TAIL_BOUND_FROM_4 = 0.5617
 
 # B_2 .. B_18, for Euler–Maclaurin here and the dilogarithm series in quadrature
 _B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798)

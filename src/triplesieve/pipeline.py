@@ -1,4 +1,4 @@
-"""Assembly of the sixteen weighted-sieve term coefficients and their combination.
+"""The sixteen weighted-sieve term coefficients, their combination, and the checks.
 
 Every term scalarizes to
 
@@ -12,25 +12,30 @@ lower-direction braces f1*F2 + F1*f2 - F1*F2, upper-direction braces F1*F2.
 The rule reproduces the uniform two-sided bound exactly: with both uniform
 exponents 0.2 and both curves at s = 2 it collapses to 4/(0.2*0.2) * 1 = 100.
 
-The term table is data (data/bound_terms.json), not code: the two pairs of
-exponents, and per term its label, direction, extra-factor reference, brace
-slots and the published decimal string it is compared against.  The package
-reads only that shipped file.
+A term's direction is the side of Lemma 3.1 its weight sits on: LOWER_WEIGHTS
+or UPPER_WEIGHTS.  The rest of the term table is data (data/bound_terms.json),
+not code: the two pairs of exponents, and per term its label, extra-factor
+reference, brace slots and the published decimal string it is compared
+against.  The package reads only that shipped file.  The checks against the
+published numbers live here too: the verification report and the three tail
+bounds of the Buchstab function w.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
 
+import numpy as np
+
 from . import constants
 from .errors import DomainError
 from .quadrature import log_basic_integral, log_shift_integral, named_integral_value
-from .reporting import ConstantCheck, make_check
-from .sieve_functions import lower_f0, upper_F0
+from .sieve_functions import W_MAX, buchstab_w_many, lower_f0, upper_F0
 
 TERM_LABELS = (
     "S11", "S12", "S21", "S22", "S31", "S32", "S41", "S42",
@@ -42,30 +47,25 @@ UPPER_WEIGHTS = {
     "S61": 2, "S62": 2, "S71": 1, "S72": 1, "S73": 1, "S74": 1,
 }
 
-_OPS = {
-    "coefficient_E": lambda: constants.coefficient_E(),
-    "coefficient_L": lambda: constants.coefficient_L(),
-    "constant_C0": lambda: constants.constant_C0(),
+# The report's rows in order, each with the side its check takes: C0, E and L
+# are published upper constants, and C3 and the five aggregates plain
+# comparisons.
+_REPORT_DIRECTIONS = {
+    "C3": "two_sided", "C0": "upper", "E": "upper", "L": "upper",
+    **{label: "lower" if label in LOWER_WEIGHTS else "upper" for label in TERM_LABELS},
+    **dict.fromkeys(
+        ("lower_sum", "upper_sum", "margin", "theorem_constant", "upper_uniform"), "two_sided"
+    ),
 }
-
-
-class ManifestError(ValueError):
-    """The term manifest is malformed."""
 
 
 @dataclass(frozen=True, eq=False)
 class BoundTerm:
     label: str
     direction: str
-    delta1: Fraction
-    delta2: Fraction
     extra: dict
     brace: dict
     paper_value: str
-
-    @property
-    def prefactor(self) -> Fraction:
-        return 4 / (self.delta1 * self.delta2)
 
     @property
     def paper(self) -> float:
@@ -82,63 +82,52 @@ def load_manifest() -> dict:
 
 @cache
 def load_terms() -> dict[str, BoundTerm]:
-    """The manifest's sixteen terms by label, each with the table's exponents."""
-    doc = load_manifest()
-    delta1, delta2 = Fraction(doc["deltas"]["delta1"]), Fraction(doc["deltas"]["delta2"])
+    """The manifest's sixteen terms by label, each with its side of Lemma 3.1."""
     return {
         row["label"]: BoundTerm(
             label=row["label"],
-            direction=row["direction"],
-            delta1=delta1,
-            delta2=delta2,
+            direction=_REPORT_DIRECTIONS[row["label"]],
             extra=row["extra"],
             brace=row["brace"],
             paper_value=row["paper_value"],
         )
-        for row in doc["terms"]
+        for row in load_manifest()["terms"]
     }
 
 
+def prefactor(deltas: dict) -> Fraction:
+    """4/(delta1 delta2) for a manifest pair of exponents, exact."""
+    return 4 / (Fraction(deltas["delta1"]) * Fraction(deltas["delta2"]))
+
+
 def _extra_value(extra: dict) -> float:
-    kind = extra.get("kind")
+    kind = extra["kind"]
     if kind == "const":
         return float(Fraction(extra["value"]))
     if kind == "log_basic_integral":
         return log_basic_integral(extra["a"], extra["b"])
     if kind == "log_shift_integral":
         return log_shift_integral(extra["c"], extra["d"], extra["a"], extra["b"])
-    if kind == "op":
-        try:
-            return _OPS[extra["name"]]()
-        except KeyError:
-            raise ManifestError(f"unknown op {extra.get('name')!r}") from None
-    raise ManifestError(f"unknown extra kind {kind!r}")
+    return getattr(constants, extra["name"])()  # "op": a zero-argument function of constants
 
 
 def _slot_curves(slot: dict) -> tuple[float, float | None]:
-    """(upper, lower) value pair a brace slot contributes."""
+    """(upper, lower) value pair a brace slot contributes; a lone integral has no lower."""
     if "fn" in slot:
         s = float(slot["fn"])
         return upper_F0(s), lower_f0(s)
     if "pair" in slot:
         upper_name, lower_name = slot["pair"]
         return named_integral_value(upper_name), named_integral_value(lower_name)
-    if "integral" in slot:
-        return named_integral_value(slot["integral"]), None
-    raise ManifestError(f"unknown brace slot {slot!r}")
+    return named_integral_value(slot["integral"]), None
 
 
 def brace_value(term: BoundTerm) -> float:
-    kind = term.brace.get("kind")
     big1, low1 = _slot_curves(term.brace["slot1"])
     big2, low2 = _slot_curves(term.brace["slot2"])
-    if kind == "upper":
+    if term.direction == "upper":
         return big1 * big2
-    if kind == "lower":
-        if low1 is None or low2 is None:
-            raise ManifestError(f"{term.label}: lower brace needs both curve values")
-        return low1 * big2 + big1 * low2 - big1 * big2
-    raise ManifestError(f"unknown brace kind {kind!r}")
+    return low1 * big2 + big1 * low2 - big1 * big2
 
 
 @lru_cache(maxsize=64)
@@ -148,7 +137,8 @@ def term_coefficient(label: str) -> float:
     if label not in terms:
         raise DomainError(f"unknown term label {label!r}")
     term = terms[label]
-    return float(term.prefactor) * _extra_value(term.extra) * brace_value(term)
+    scale = float(prefactor(load_manifest()["deltas"]))
+    return scale * _extra_value(term.extra) * brace_value(term)
 
 
 @dataclass(frozen=True)
@@ -160,10 +150,16 @@ class CombinedBounds:
     flagged: bool
 
 
+def _weighted_sums(values: dict[str, float]) -> tuple[float, float]:
+    """Lemma 3.1's lower and upper weighted sums of the term values."""
+    lower = sum(w * values[lbl] for lbl, w in LOWER_WEIGHTS.items())
+    upper = sum(w * values[lbl] for lbl, w in UPPER_WEIGHTS.items())
+    return lower, upper
+
+
 def combine_lemma31() -> CombinedBounds:
     """Weighted recombination of all sixteen terms into the final margin."""
-    lower = sum(w * term_coefficient(lbl) for lbl, w in LOWER_WEIGHTS.items())
-    upper = sum(w * term_coefficient(lbl) for lbl, w in UPPER_WEIGHTS.items())
+    lower, upper = _weighted_sums({label: term_coefficient(label) for label in TERM_LABELS})
     margin = lower - upper
     return CombinedBounds(lower, upper, margin, margin / 4.0, flagged=margin <= 0.0)
 
@@ -172,17 +168,60 @@ def upper_bound_constant() -> float:
     """The two-sided sifting constant: the manifest's uniform exponents 0.2/0.2,
     both curves at s = 2.
 
-    Fraction arithmetic keeps the prefactor exact, so the result is the float
-    100.0 with no tunable input.
+    The exact prefactor leaves the result the float 100.0 with no tunable input.
     """
-    deltas = load_manifest()["uniform_deltas"]
-    prefactor = 4 / (Fraction(deltas["delta1"]) * Fraction(deltas["delta2"]))
-    return float(prefactor) * upper_F0(2.0) * upper_F0(2.0)
+    return float(prefactor(load_manifest()["uniform_deltas"])) * upper_F0(2.0) * upper_F0(2.0)
 
 
-def published_sums() -> dict[str, float]:
-    """Aggregate targets parsed from their exact decimal strings."""
-    return {k: float(v) for k, v in load_manifest()["aggregates"].items()}
+# ---------------------------------------------------------------------------
+# Checks against the published numbers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConstantCheck:
+    """One computed-vs-published comparison.
+
+    direction 'lower' means the published number is a lower bound that the
+    recomputation must not undershoot by more than the tolerance (relative);
+    'upper' the mirror image; 'two_sided' a plain relative comparison.
+    """
+
+    label: str
+    computed: float
+    paper: float
+    direction: str
+    passed: bool
+
+    @property
+    def rel_diff(self) -> float:
+        if self.paper == 0.0:
+            return math.inf if self.computed else 0.0
+        return (self.computed - self.paper) / self.paper
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "flag"
+
+
+def make_check(
+    label: str, computed: float, paper: float, direction: str, tolerance: float
+) -> ConstantCheck:
+    """A ConstantCheck with the direction-aware pass rule at relative ``tolerance``."""
+    if not math.isfinite(computed):
+        passed = False
+    elif direction == "lower":
+        passed = computed >= paper - tolerance * abs(paper)
+    elif direction == "upper":
+        passed = computed <= paper + tolerance * abs(paper)
+    else:
+        passed = abs(computed - paper) <= tolerance * abs(paper)
+    return ConstantCheck(label, computed, paper, direction, passed)
+
+
+def report_labels() -> tuple[str, ...]:
+    """The labels of the report's rows, in order."""
+    return tuple(_REPORT_DIRECTIONS)
 
 
 def verification_report(
@@ -197,64 +236,51 @@ def verification_report(
     substitutes the published numbers for the recomputation, which turns every
     row into an identity check of the report plumbing.
     """
-    doc = load_manifest()
-    terms = load_terms()
-    aux = doc["auxiliary"]
-    agg = doc["aggregates"]
-    overrides = dict(overrides or {})
-    known = set(report_labels())
-    unknown = set(overrides) - known
+    overrides = overrides or {}
+    unknown = set(overrides) - set(report_labels())
     if unknown:
         raise DomainError(f"unknown labels in tolerance overrides: {sorted(unknown)}")
-
-    def tol(label: str) -> float:
-        return overrides.get(label, tolerance)
-
-    checks: list[ConstantCheck] = []
-
-    def add(label, computed, paper, direction, note):
-        checks.append(make_check(label, computed, paper, direction, tol(label), note))
-
-    c3 = float(aux["C3"]) if use_paper_values else constants.constant_C3().value
-    add("C3", c3, float(aux["C3"]), "two_sided",
-        "converged Euler product vs published decimal")
-    c0 = float(aux["C0"]) if use_paper_values else constants.constant_C0()
-    add("C0", c0, float(aux["C0"]), "upper", "chain-density sum, published upper estimate")
-    e_val = float(aux["E"]) if use_paper_values else constants.coefficient_E()
-    add("E", e_val, float(aux["E"]), "upper", "role-reversal coefficient")
-    l_val = float(aux["L"]) if use_paper_values else constants.coefficient_L()
-    add("L", l_val, float(aux["L"]), "upper", "four-fold role-reversal coefficient")
-
-    for label in TERM_LABELS:
-        term = terms[label]
-        value = term.paper if use_paper_values else term_coefficient(label)
-        note = ""
-        if term.direction == "lower" and not use_paper_values:
-            if brace_value(term) <= 0.0:
-                note = "lower brace non-positive: term contributes nothing"
-        add(label, value, term.paper, term.direction, note)
-
+    doc = load_manifest()
+    published = {
+        label: float(text) for label, text in (doc["auxiliary"] | doc["aggregates"]).items()
+    }
+    published.update((term.label, term.paper) for term in load_terms().values())
     if use_paper_values:
-        lower = sum(w * terms[lbl].paper for lbl, w in LOWER_WEIGHTS.items())
-        upper = sum(w * terms[lbl].paper for lbl, w in UPPER_WEIGHTS.items())
+        values = dict(published)
     else:
-        combined = combine_lemma31()
-        lower, upper = combined.lower_sum, combined.upper_sum
-    add("lower_sum", lower, float(agg["lower_sum"]), "two_sided",
-        "3*S11 + S12 + S21 + S22")
-    add("upper_sum", upper, float(agg["upper_sum"]), "two_sided",
-        "S31+S32+S41+S42+S51+S52+2*(S61+S62)+S71+S72+S73+S74")
-    published_margin = float(agg["lower_sum"]) - float(agg["upper_sum"])
-    add("margin", published_margin, float(agg["margin"]), "two_sided",
-        "arithmetic identity on the published totals")
-    add("theorem_constant", published_margin / 4.0, float(agg["theorem_constant"]),
-        "two_sided", "published margin / 4")
-    add("upper_uniform", upper_bound_constant(), float(agg["upper_uniform"]),
-        "two_sided", "exact scalarization, no tunable input")
-    return checks
+        values = {
+            "C3": constants.constant_C3().value,
+            "C0": constants.constant_C0(),
+            "E": constants.coefficient_E(),
+            "L": constants.coefficient_L(),
+            **{label: term_coefficient(label) for label in TERM_LABELS},
+        }
+    values["lower_sum"], values["upper_sum"] = _weighted_sums(values)
+    # identities on the published totals in both modes
+    margin = published["lower_sum"] - published["upper_sum"]
+    values.update(margin=margin, theorem_constant=margin / 4.0,
+                  upper_uniform=upper_bound_constant())
+    return [
+        make_check(label, values[label], published[label], _REPORT_DIRECTIONS[label],
+                   overrides.get(label, tolerance))
+        for label in report_labels()
+    ]
 
 
-def report_labels() -> tuple[str, ...]:
-    return ("C3", "C0", "E", "L") + TERM_LABELS + (
-        "lower_sum", "upper_sum", "margin", "theorem_constant", "upper_uniform",
+def verify_buchstab_bounds() -> list[ConstantCheck]:
+    """Check the three tail bounds of w at every point of the 0.01 grid on [2, 64].
+
+    Returns one ConstantCheck per bound; `computed` is the grid maximum of w
+    from that bound's start to 64.
+    """
+    bounds = (
+        ("w_max_from_2", 2.0, constants.W_BOUND_FROM_2),
+        ("w_max_from_3", 3.0, constants.W_TAIL_BOUND_FROM_3),
+        ("w_max_from_4", 4.0, constants.W_TAIL_BOUND_FROM_4),
     )
+    checks = []
+    for label, lo, bound in bounds:
+        points = np.linspace(lo, W_MAX, round((W_MAX - lo) * 100) + 1)
+        peak = float(buchstab_w_many(points).max())
+        checks.append(make_check(label, peak, bound, "upper", 0.0))
+    return checks

@@ -19,6 +19,7 @@ are the previous block's samples over t - 1.  The curves are smooth inside every
 block; their kinks fall on the integers, which are block ends.  Between nodes
 a curve is the cubic Hermite interpolant whose node slopes come exactly from
 the delay equations (the right-hand slope at u = 2, where they start).
+The published tail bounds of w are checked by ``pipeline.verify_buchstab_bounds``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,14 @@ from functools import cache
 
 import numpy as np
 
-from .constants import W_TAIL_BOUND_FROM_3, W_TAIL_BOUND_FROM_4
 from .errors import DomainError
 from .quadrature import _unit_delay
-from .reporting import ConstantCheck, make_check
 
 STEP = 0.005
 
 F0_MAX = 7.0
 f0_MAX = 8.0
 W_MAX = 64.0
-W_BOUND_FROM_2 = 1 / 1.763
 
 
 @cache
@@ -101,21 +99,3 @@ def buchstab_w_many(u: np.ndarray) -> np.ndarray:
     y, dy = _table()
     return np.where(u <= 2.0, 1.0, _hermite(y[2], dy[2], u)) / u
 
-
-def verify_buchstab_bounds() -> list[ConstantCheck]:
-    """Check the three tail bounds of w at every point of the 0.01 grid on [2, 64].
-
-    Returns one ConstantCheck per bound; `computed` is the grid maximum of w
-    from that bound's start to 64.
-    """
-    bounds = (
-        ("w_max_from_2", 2.0, W_BOUND_FROM_2, "w(u) <= 1/1.763 for u >= 2"),
-        ("w_max_from_3", 3.0, W_TAIL_BOUND_FROM_3, "w(u) < 0.5644 for u >= 3"),
-        ("w_max_from_4", 4.0, W_TAIL_BOUND_FROM_4, "w(u) < 0.5617 for u >= 4"),
-    )
-    checks = []
-    for label, lo, bound, note in bounds:
-        points = np.linspace(lo, W_MAX, round((W_MAX - lo) * 100) + 1)
-        peak = float(buchstab_w_many(points).max())
-        checks.append(make_check(label, peak, bound, "upper", 0.0, note))
-    return checks

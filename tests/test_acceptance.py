@@ -23,7 +23,7 @@ import pytest
 import triplesieve as ts
 from triplesieve.cli import main as cli_main
 from triplesieve.constants import partial_product
-from triplesieve.pipeline import TERM_LABELS, brace_value, load_terms, published_sums
+from triplesieve.pipeline import TERM_LABELS, brace_value, load_manifest, load_terms, prefactor
 
 import oracles
 
@@ -137,7 +137,7 @@ def test_acceptance_04_published_coefficient_table():
 
 def test_acceptance_05_aggregate_sums():
     combined = ts.combine_lemma31()
-    sums = published_sums()
+    sums = {k: float(v) for k, v in load_manifest()["aggregates"].items()}
     lower_ok = abs(combined.lower_sum - sums["lower_sum"]) <= 0.005 * sums["lower_sum"]
     upper_ok = abs(combined.upper_sum - sums["upper_sum"]) <= 0.005 * sums["upper_sum"]
     identity = sums["lower_sum"] - sums["upper_sum"]
@@ -173,7 +173,7 @@ def test_acceptance_06_auxiliary_constants():
     terms = load_terms()
     for label in ("S73", "S74"):
         term = terms[label]
-        rebuilt = float(term.prefactor) * 0.00408 * brace_value(term)
+        rebuilt = float(prefactor(load_manifest()["deltas"])) * 0.00408 * brace_value(term)
         if not abs(rebuilt - term.paper) <= 1e-5 * term.paper:
             failures.append(
                 f"{label} with C0=0.00408 gives {rebuilt:.6f}, not the published "

@@ -436,6 +436,76 @@ def test_verify_deterministic_bytes(capsys):
     assert first == second
 
 
+# the whole report, byte for byte, in both modes: a change to any row, to their
+# order or to a printed digit shows here
+VERIFY_CSV = (
+    "label,computed,paper,direction,rel_diff,verdict\n"
+    "C3,2.858249,2.862590,two_sided,-0.001517,pass\n"
+    "C0,0.003886,0.004080,upper,-0.047441,pass\n"
+    "E,0.009329,0.009340,upper,-0.001222,pass\n"
+    "L,0.048381,0.048390,upper,-0.000184,pass\n"
+    "S11,818.122829,818.101890,lower,0.000026,pass\n"
+    "S12,516.861358,516.860630,lower,0.000001,pass\n"
+    "S21,73.932237,73.930100,lower,0.000029,pass\n"
+    "S22,149.271546,149.136840,lower,0.000903,pass\n"
+    "S31,1282.384992,1282.384850,upper,0.000000,pass\n"
+    "S32,1048.201473,1048.202110,upper,-0.000001,pass\n"
+    "S41,371.112134,371.112430,upper,-0.000001,pass\n"
+    "S42,341.316003,341.318740,upper,-0.000008,pass\n"
+    "S51,4.418309,4.419370,upper,-0.000240,pass\n"
+    "S52,22.914771,22.915040,upper,-0.000012,pass\n"
+    "S61,2.268832,2.270320,upper,-0.000656,pass\n"
+    "S62,49.786360,49.788640,upper,-0.000046,pass\n"
+    "S71,2.269504,2.384850,upper,-0.048366,pass\n"
+    "S72,1.498827,1.576430,upper,-0.049227,pass\n"
+    "S73,1.309117,1.374320,upper,-0.047444,pass\n"
+    "S74,1.309117,1.374320,upper,-0.047444,pass\n"
+    "lower_sum,3194.433628,3194.233240,two_sided,0.000063,pass\n"
+    "upper_sum,3180.844628,3181.180710,two_sided,-0.000106,pass\n"
+    "margin,13.052530,13.052530,two_sided,-0.000000,pass\n"
+    "theorem_constant,3.263132,3.263130,two_sided,0.000001,pass\n"
+    "upper_uniform,100.000000,100.000000,two_sided,0.000000,pass\n"
+)
+
+VERIFY_PAPER_VALUES_CSV = (
+    "label,computed,paper,direction,rel_diff,verdict\n"
+    "C3,2.862590,2.862590,two_sided,0.000000,pass\n"
+    "C0,0.004080,0.004080,upper,0.000000,pass\n"
+    "E,0.009340,0.009340,upper,0.000000,pass\n"
+    "L,0.048390,0.048390,upper,0.000000,pass\n"
+    "S11,818.101890,818.101890,lower,0.000000,pass\n"
+    "S12,516.860630,516.860630,lower,0.000000,pass\n"
+    "S21,73.930100,73.930100,lower,0.000000,pass\n"
+    "S22,149.136840,149.136840,lower,0.000000,pass\n"
+    "S31,1282.384850,1282.384850,upper,0.000000,pass\n"
+    "S32,1048.202110,1048.202110,upper,0.000000,pass\n"
+    "S41,371.112430,371.112430,upper,0.000000,pass\n"
+    "S42,341.318740,341.318740,upper,0.000000,pass\n"
+    "S51,4.419370,4.419370,upper,0.000000,pass\n"
+    "S52,22.915040,22.915040,upper,0.000000,pass\n"
+    "S61,2.270320,2.270320,upper,0.000000,pass\n"
+    "S62,49.788640,49.788640,upper,0.000000,pass\n"
+    "S71,2.384850,2.384850,upper,0.000000,pass\n"
+    "S72,1.576430,1.576430,upper,0.000000,pass\n"
+    "S73,1.374320,1.374320,upper,0.000000,pass\n"
+    "S74,1.374320,1.374320,upper,0.000000,pass\n"
+    "lower_sum,3194.233240,3194.233240,two_sided,0.000000,pass\n"
+    "upper_sum,3181.180380,3181.180710,two_sided,-0.000000,pass\n"
+    "margin,13.052530,13.052530,two_sided,-0.000000,pass\n"
+    "theorem_constant,3.263132,3.263130,two_sided,0.000001,pass\n"
+    "upper_uniform,100.000000,100.000000,two_sided,0.000000,pass\n"
+)
+
+
+@pytest.mark.parametrize("flags, expected", [((), VERIFY_CSV),
+                                             (("--paper-values",), VERIFY_PAPER_VALUES_CSV)],
+                         ids=["recomputed", "paper-values"])
+def test_verify_report_bytes(capsys, flags, expected):
+    code, out, _ = run_cli(capsys, "verify", *flags, "--no-timestamp")
+    assert code == 0
+    assert out == expected
+
+
 def test_timestamp_header_present_by_default(capsys):
     _, out, _ = run_cli(capsys, "functions", "w", "--points", "2")
     assert out.startswith("# generated ")
@@ -530,22 +600,31 @@ def test_import_loads_neither_numpy_nor_a_submodule():
     assert _loaded_after("import triplesieve") == {"triplesieve"}
 
 
+def _imported_by_cli(*argv):
+    """Every module a real `python -m triplesieve` process imported.  The CLI leaves
+    by os._exit, so they are read from its -X importtime lines on stderr, one per
+    module."""
+    done = _run_module(Path(triplesieve.__file__).parent.parent, "-X", "importtime",
+                       "-m", "triplesieve", *argv)
+    assert done.returncode == 0, done.stderr
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_count_loads_only_the_engine():
-    # the CLI leaves by os._exit, so the modules are read from the real process's
-    # -X importtime lines on stderr, one per module it imported.  The Euler
-    # products load only with a predictor that uses one: D_1ab's uses none
+    # the Euler products load only with a predictor that uses one: D_1ab's uses none
     for argv, euler in ((("pi_1ab", "1000", "1", "1"), True), (("D_1ab", "1000", "2", "2"), False)):
-        done = _run_module(Path(triplesieve.__file__).parent.parent, "-X", "importtime",
-                           "-m", "triplesieve", "count", *argv)
-        assert done.returncode == 0, done.stderr
-        imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
-                    if line.startswith("import time:")}
+        imported = _imported_by_cli("count", *argv)
         loaded = {m for m in imported if m.split(".")[0] in ("numpy", "triplesieve")}
         assert {"numpy", "triplesieve.cli", "triplesieve.engine"} <= loaded, argv
         assert not loaded & {"triplesieve.pipeline", "triplesieve.quadrature",
                              "triplesieve.sieve_functions"}, argv
         assert ("triplesieve.constants" in loaded) == euler, argv
         assert "dataclasses" not in imported, argv
+    # the curves command loads the curves, not the checks against the paper
+    imported = _imported_by_cli("functions", "w", "--points", "3")
+    assert "triplesieve.sieve_functions" in imported
+    assert not imported & {"triplesieve.pipeline", "triplesieve.reporting"}
 
 
 def test_every_public_name_resolves_and_is_listed():

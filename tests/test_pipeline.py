@@ -1,7 +1,9 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
+from triplesieve import constants
 from triplesieve.errors import DomainError
 from triplesieve.pipeline import (
     LOWER_WEIGHTS,
@@ -12,12 +14,13 @@ from triplesieve.pipeline import (
     combine_lemma31,
     load_manifest,
     load_terms,
-    published_sums,
+    prefactor,
     report_labels,
     term_coefficient,
     upper_bound_constant,
     verification_report,
 )
+from triplesieve.quadrature import named_integral_specs
 from triplesieve.sieve_functions import upper_F0
 
 
@@ -28,10 +31,7 @@ def test_manifest_has_all_sixteen_terms():
 
 
 def test_prefactor_is_exact_rational():
-    term = load_terms()["S11"]
-    assert term.prefactor == Fraction(6400, 19)
-    assert term.delta1 == Fraction(19, 40)
-    assert term.delta2 == Fraction(1, 40)
+    assert prefactor(load_manifest()["deltas"]) == Fraction(6400, 19)
 
 
 def test_unknown_label_rejected():
@@ -74,7 +74,7 @@ def test_lower_braces_positive():
 
 def test_combination_against_published_totals():
     combined = combine_lemma31()
-    sums = published_sums()
+    sums = {k: float(v) for k, v in load_manifest()["aggregates"].items()}
     assert combined.lower_sum == pytest.approx(sums["lower_sum"], rel=5e-3)
     assert combined.upper_sum == pytest.approx(sums["upper_sum"], rel=5e-3)
     assert combined.margin > 0
@@ -83,7 +83,7 @@ def test_combination_against_published_totals():
 
 
 def test_published_margin_identity():
-    sums = published_sums()
+    sums = {k: float(v) for k, v in load_manifest()["aggregates"].items()}
     margin = sums["lower_sum"] - sums["upper_sum"]
     assert abs(margin - 13.05253) < 1e-9
     assert abs(margin / 4 - 3.26313) < 1e-5
@@ -97,12 +97,11 @@ def test_scalarization_rule_with_halved_exponents():
     # both distribution exponents at 2 * (1/20) = 0.1 quadruple the constant
     term = BoundTerm(
         label="toy", direction="upper",
-        delta1=Fraction(1, 10), delta2=Fraction(1, 10),
         extra={"kind": "const", "value": "1"},
-        brace={"kind": "upper", "slot1": {"fn": 2.0}, "slot2": {"fn": 2.0}},
+        brace={"slot1": {"fn": 2.0}, "slot2": {"fn": 2.0}},
         paper_value="400",
     )
-    assert float(term.prefactor) * brace_value(term) == 400.0
+    assert float(prefactor({"delta1": "0.1", "delta2": "0.1"})) * brace_value(term) == 400.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +157,27 @@ def test_shipped_manifest_is_well_formed():
     doc = load_manifest()
     assert doc["schema"] == 1
     assert [row["label"] for row in doc["terms"]] == list(TERM_LABELS)  # in order, each once
-    assert {row["direction"] for row in doc["terms"]} <= {"lower", "upper"}
-    # every term takes the table's exponents: a row's own would go unread
-    assert not any("delta1" in row or "delta2" in row for row in doc["terms"])
+    for row in doc["terms"]:
+        # no direction (the weights state it) and no exponents of its own (the
+        # table's serve every term): a key the package does not read is an error
+        assert set(row) == {"label", "extra", "brace", "paper_value"}, row
+        extra = row["extra"]
+        assert extra["kind"] in {"const", "log_basic_integral", "log_shift_integral", "op"}, row
+        if extra["kind"] == "op":
+            op = getattr(constants, extra["name"])
+            assert callable(op) and not inspect.signature(op).parameters, row
+        assert set(row["brace"]) == {"slot1", "slot2"}, row
+        for slot in row["brace"].values():
+            assert len(slot) == 1, row  # one of fn, pair and integral
+            (source,) = slot
+            assert source in {"fn", "pair", "integral"}, row
+            # named_integral_specs raises DomainError for a name not in the catalogue
+            if source == "integral":
+                assert named_integral_specs(slot["integral"]), row
+            if source == "pair":
+                upper_name, lower_name = slot["pair"]
+                assert named_integral_specs(upper_name) and named_integral_specs(lower_name), row
+    for label in LOWER_WEIGHTS:
+        # a lower brace needs each slot's lower curve, which a lone integral lacks
+        brace = load_terms()[label].brace
+        assert not any("integral" in slot for slot in brace.values()), label

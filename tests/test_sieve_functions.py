@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from triplesieve.errors import DomainError
+from triplesieve.pipeline import verify_buchstab_bounds
 from triplesieve.sieve_functions import (
     buchstab_w,
     buchstab_w_many,
     lower_f0,
     upper_F0,
-    verify_buchstab_bounds,
 )
 
 import oracles
