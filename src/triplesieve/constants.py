@@ -156,11 +156,11 @@ def coefficient_E() -> float:
 
 @cache
 def coefficient_L() -> float:
-    """Four-fold role-reversal coefficient bounded by 0.04839.
-
-    The Buchstab factor is replaced by its tail bound w < 0.5644 (u >= 3): the
-    composed argument always exceeds 3 on the domain.
+    """Four-fold role-reversal coefficient bounded by 0.04839: the integral of
+    ``quadrature.L_QUADRUPLE``, whose kernel holds the Buchstab factor
+    w((1 - t1 - t2 - t3 - t4)/t2) at its tail bound w < 0.5644 (u >= 3), since
+    that argument always exceeds 3 on the domain.
     """
-    from .quadrature import fourfold_with_buchstab, integrate_nested
+    from .quadrature import L_QUADRUPLE, integrate_nested
 
-    return integrate_nested(fourfold_with_buchstab(lambda u: np.full_like(u, W_TAIL_BOUND_FROM_3)))
+    return integrate_nested(L_QUADRUPLE)

@@ -38,7 +38,8 @@ by N.  The mirror's Omega values are written reversed, so every mask of a
 pair reads its arrays forwards (a negative-stride compare of 2^20 bytes runs
 ~13x slower).  At 2^19 words a worker's buffers take 1.5 MiB, 2 MiB for a
 mirrored count: the plan's 1 MiB word block and a 0.5 MiB Omega array per
-segment of a unit.
+segment of a unit.  The scatter's entries in the plan add 0.54 / 1.16 / 1.77 MiB
+near 1e8 / 1e9 / 1e10, and its per-power arrays 0.05 / 0.15 / 0.44 MiB more.
 
 This module imports numpy, but not the quadrature, the sieve curves or the
 pipeline; the Euler products of constants load with the first predictor that

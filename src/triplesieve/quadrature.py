@@ -1,6 +1,6 @@
 """Closed-form 1-D integrals, nested iterated integrals, and one unit-delay integrator.
 
-Three layers live here:
+Four layers live here:
 
 * ``log_basic_integral`` and ``log_shift_integral`` — the 1-D log integrals in
   closed form over the real dilogarithm ``_li2``; in particular
@@ -10,6 +10,10 @@ Three layers live here:
   Gauss–Legendre rule, refined on a node ladder until two successive
   evaluations agree to 1e-9, the one tolerance every display uses.  Empty
   ranges (upper <= lower) contribute exactly 0.
+* the display table — ``named_integral_specs`` gives the components of G, g,
+  H, h, J, K and E, built from two outer (t1, t2) regions and three kernels
+  stated once (J and K share all but their singles), and ``L_QUADRUPLE`` is
+  L's four-fold display with its Buchstab factor at the tail bound 0.5644.
 * ``_unit_delay`` — curves that are constant on [1, 2] and above it solve a
   delay system y'(t) = slope(t-1, y(t-1)), integrated one unit block at a time
   on a uniform grid: each block is its left-end value plus the Euler–Maclaurin
@@ -31,7 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .constants import _B2K
+from .constants import _B2K, W_TAIL_BOUND_FROM_3
 from .errors import DomainError, EvaluationError
 
 Kernel = Callable[..., np.ndarray]
@@ -194,138 +198,102 @@ def integrate_nested(spec: IntegralSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The weighted-sieve integral catalogue (two- to four-fold displays)
+# The weighted-sieve integral catalogue (one- to four-fold displays)
 # ---------------------------------------------------------------------------
 # The recurring constants are the sieve exponent bookkeeping: 1/13 and 1/8.4
 # are the two sifting levels, 0.475 the level-of-distribution exponent, and
 # 6.175 = 13 * 0.475 its rescaling (5.175 = 6.175 - 1, 3.175 = 6.175 - 3,
 # 2.175 = 6.175 - 4).
 
+# the two outer (t1, t2) regions, t1 over [1/13, 1/8.4]: t2 over [t1, 1/8.4]
+# below the upper sifting level, over [1/8.4, 0.475 - 2/13 - t1] above it
+_BELOW = ((1 / 13, 1 / 8.4), (lambda t1: t1, 1 / 8.4))
+_ABOVE = ((1 / 13, 1 / 8.4), (1 / 8.4, lambda t1: 0.475 - 2 / 13 - t1))
 
+# L's four-fold display, its Buchstab factor w((1 - t1 - t2 - t3 - t4)/t2) at the
+# tail bound 0.5644 (u > 3 on the domain); no named display, so not in the table
+L_QUADRUPLE = IntegralSpec(
+    "L.quadruple",
+    _BELOW + ((lambda t1, t2: t2, 1 / 8.4), (1 / 8.4, lambda t1, t2, t3: 0.475 - 2 / 13 - t3)),
+    lambda t1, t2, t3, t4: W_TAIL_BOUND_FROM_3 / (t1 * t2**2 * t3 * t4),
+)
+
+
+@cache
 def _catalogue() -> dict[str, tuple[IntegralSpec, ...]]:
-    lo13, hi84 = 1 / 13, 1 / 8.4
+    def reach(t1, t2):  # the top of the t3 range
+        return 5.175 - 13 * (t1 + t2)
 
     def wedge(t1, t2):
         return 1.0 / (t1 * t2 * (0.475 - t1 - t2))
 
-    G1 = IntegralSpec(
-        "G.double",
-        ((lo13, hi84), (lambda t1: t1, hi84)),
-        wedge,
-    )
-    G2 = IntegralSpec(
-        "G.triple",
-        ((lo13, hi84), (lambda t1: t1, hi84),
-         (2.0, lambda t1, t2: 5.175 - 13 * (t1 + t2))),
-        lambda t1, t2, t3: np.log(t3 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3),
-    )
-    g1 = IntegralSpec(
-        "g.double",
-        ((lo13, hi84), (lambda t1: t1, hi84)),
-        lambda t1, t2: np.log(5.175 - 13 * (t1 + t2)) / (t1 * t2 * (0.475 - t1 - t2)),
-    )
-    g2 = IntegralSpec(
-        "g.quadruple",
-        ((lo13, 2.175 / 26), (lambda t1: t1, lambda t1: 2.175 / 13 - t1),
-         (3.0, lambda t1, t2: 5.175 - 13 * (t1 + t2)),
-         (2.0, lambda t1, t2, t3: t3 - 1.0)),
-        lambda t1, t2, t3, t4: np.log(t4 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3 * t4),
-    )
-    H1 = IntegralSpec(
-        "H.double",
-        ((lo13, hi84), (hi84, lambda t1: 0.475 - 2 / 13 - t1)),
-        wedge,
-    )
-    # the printed t2 range extends past the vanishing line of the inner
-    # t3 integral; clipping at 3.175/13 - t1 drops only a zero contribution
-    # and keeps the outer integrand smooth
-    H2 = IntegralSpec(
-        "H.triple",
-        ((lo13, hi84),
-         (hi84, lambda t1: np.minimum(0.475 - 2 / 13 - t1, 3.175 / 13 - t1)),
-         (2.0, lambda t1, t2: 5.175 - 13 * (t1 + t2))),
-        lambda t1, t2, t3: np.log(t3 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3),
-    )
-    h1 = IntegralSpec(
-        "h.double",
-        ((lo13, hi84), (hi84, lambda t1: 0.475 - 2 / 13 - t1)),
-        lambda t1, t2: np.log(5.175 - 13 * (t1 + t2)) / (t1 * t2 * (0.475 - t1 - t2)),
-    )
+    def log_wedge(t1, t2):
+        return np.log(reach(t1, t2)) / (t1 * t2 * (0.475 - t1 - t2))
 
-    def role_reversal(name: str, first_upper: float) -> tuple[IntegralSpec, ...]:
-        single = IntegralSpec(
-            f"{name}.single",
-            ((lo13, first_upper),),
-            lambda t: 1.0 / (t * (0.475 - t)),
-        )
-        double = IntegralSpec(
-            f"{name}.double",
-            ((lo13, 0.475 - 3 / 13), (2.0, lambda t1: 5.175 - 13 * t1)),
+    def log_t3(t1, t2, t3):
+        return np.log(t3 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3)
+
+    def single(t):
+        return 1.0 / (t * (0.475 - t))
+
+    t3_range = ((2.0, reach),)
+    # the printed t2 range of H.triple extends past the vanishing line of the
+    # inner t3 integral; clipping at 3.175/13 - t1 drops only a zero
+    # contribution and keeps the outer integrand smooth
+    clipped = (_ABOVE[0], (1 / 8.4, lambda t1: np.minimum(0.475 - 2 / 13 - t1, 3.175 / 13 - t1)))
+    # J and K differ only in their singles
+    jk = (
+        IntegralSpec(
+            "JK.double",
+            ((1 / 13, 0.475 - 3 / 13), (2.0, lambda t1: 5.175 - 13 * t1)),
             lambda t1, t2: np.log(t2 - 1.0) / (t1 * (0.475 - t1) * t2),
-        )
-        triple = IntegralSpec(
-            f"{name}.triple",
-            ((lo13, 0.475 - 5 / 13), (2.0, lambda t1: 3.175 - 13 * t1),
+        ),
+        IntegralSpec(
+            "JK.triple",
+            ((1 / 13, 0.475 - 5 / 13), (2.0, lambda t1: 3.175 - 13 * t1),
              (lambda t1, t2: t2 + 2.0, 5.175)),
             lambda t1, t2, t3: (
                 np.log(t2 - 1.0) * np.log((t3 - 1.0) / (t2 + 1.0))
                 / (t1 * (0.475 - t1) * t2 * t3)
             ),
-        )
-        return single, double, triple
-
-    E = IntegralSpec(
-        "E.double",
-        ((lo13, hi84), (lambda t1: t1, hi84)),
-        lambda t1, t2: (1.0 / t1 - 1.0 / t2) * np.log(1.0 / (8.4 * t2)) / (t1 * t2),
+        ),
     )
-
     return {
-        "G": (G1, G2),
-        "g": (g1, g2),
-        "H": (H1, H2),
-        "h": (h1,),
-        "J": role_reversal("J", 1 / 3.145),
-        "K": role_reversal("K", 1 / 3.81),
-        "E": (E,),
+        "G": (IntegralSpec("G.double", _BELOW, wedge),
+              IntegralSpec("G.triple", _BELOW + t3_range, log_t3)),
+        "g": (
+            IntegralSpec("g.double", _BELOW, log_wedge),
+            IntegralSpec(
+                "g.quadruple",
+                ((1 / 13, 2.175 / 26), (lambda t1: t1, lambda t1: 2.175 / 13 - t1),
+                 (3.0, reach), (2.0, lambda t1, t2, t3: t3 - 1.0)),
+                lambda t1, t2, t3, t4: np.log(t4 - 1.0) / (t1 * t2 * (0.475 - t1 - t2) * t3 * t4),
+            ),
+        ),
+        "H": (IntegralSpec("H.double", _ABOVE, wedge),
+              IntegralSpec("H.triple", clipped + t3_range, log_t3)),
+        "h": (IntegralSpec("h.double", _ABOVE, log_wedge),),
+        "J": (IntegralSpec("J.single", ((1 / 13, 1 / 3.145),), single),) + jk,
+        "K": (IntegralSpec("K.single", ((1 / 13, 1 / 3.81),), single),) + jk,
+        "E": (IntegralSpec(
+            "E.double",
+            _BELOW,
+            lambda t1, t2: (1.0 / t1 - 1.0 / t2) * np.log(1.0 / (8.4 * t2)) / (t1 * t2),
+        ),),
     }
-
-
-_CATALOGUE: dict[str, tuple[IntegralSpec, ...]] | None = None
 
 
 def named_integral_specs(name: str) -> tuple[IntegralSpec, ...]:
     """The component IntegralSpecs whose values sum to the named display."""
-    global _CATALOGUE
-    if _CATALOGUE is None:
-        _CATALOGUE = _catalogue()
     try:
-        return _CATALOGUE[name]
+        return _catalogue()[name]
     except KeyError:
-        raise DomainError(f"unknown integral {name!r}; have {sorted(_CATALOGUE)}") from None
+        raise DomainError(f"unknown integral {name!r}; have {sorted(_catalogue())}") from None
 
 
 @lru_cache(maxsize=32)
 def named_integral_value(name: str) -> float:
     return sum(integrate_nested(spec) for spec in named_integral_specs(name))
-
-
-def fourfold_with_buchstab(w_of_u: Kernel) -> IntegralSpec:
-    """The four-fold display whose kernel carries a Buchstab factor.
-
-    ``w_of_u`` receives the composed argument (1 - t1 - t2 - t3 - t4)/t2
-    (always > 3 on the domain) and may be a constant bound or the real
-    Buchstab function, vectorized.
-    """
-    lo13, hi84 = 1 / 13, 1 / 8.4
-    return IntegralSpec(
-        "L.quadruple",
-        ((lo13, hi84), (lambda t1: t1, hi84), (lambda t1, t2: t2, hi84),
-         (hi84, lambda t1, t2, t3: 0.475 - 2 / 13 - t3)),
-        lambda t1, t2, t3, t4: (
-            w_of_u((1.0 - t1 - t2 - t3 - t4) / t2) / (t1 * t2**2 * t3 * t4)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,39 @@ def w_closed(u: float) -> float:
         return float((_W3(4) + mpmath.quad(lambda t: _W3(t - 1) / (t - 1), [4, u])) / u)
 
 
+@cache
+def role_reversal_components(divisor: str) -> tuple[float, float, float]:
+    """J (divisor "3.145") or K ("3.81") as its single, double and triple.
+
+    The single is int_{1/13}^{1/divisor} dt/(t (0.475 - t)) = P(1/divisor) - P(1/13)
+    with P(t) = log(t/(0.475 - t))/0.475.  The double and triple are taken with
+    the order of integration swapped, t1 innermost, so that the t1 level is P
+    and one mpmath quadrature over t2 is left:
+    double = int_2^{4.175} log(t2-1)/t2 (P((5.175 - t2)/13) - P(1/13)) dt2 and
+    triple = int_2^{2.175} log(t2-1)/t2 (P((3.175 - t2)/13) - P(1/13)) I(t2) dt2,
+    where I(t2) = int_{t2+2}^{5.175} log((t3-1)/(t2+1))/t3 dt3
+    = A1(5.175) - A1(t2+2) - log(t2+1) log(5.175/(t2+2)).
+    """
+    with mpmath.workdps(30):
+        rate, top = mpmath.mpf("0.475"), mpmath.mpf("5.175")
+
+        def P(t):
+            return mpmath.log(t / (rate - t)) / rate
+
+        low = P(mpmath.mpf(1) / 13)
+        single = P(1 / mpmath.mpf(divisor)) - low
+        double = mpmath.quad(
+            lambda t: mpmath.log(t - 1) / t * (P((top - t) / 13) - low), [2, top - 1]
+        )
+        triple = mpmath.quad(
+            lambda t: mpmath.log(t - 1) / t * (P((top - 2 - t) / 13) - low) * (
+                _A1(top) - _A1(t + 2) - mpmath.log(t + 1) * mpmath.log(top / (t + 2))
+            ),
+            [2, top - 3],
+        )
+        return float(single), float(double), float(triple)
+
+
 def quad(f, a: float, b: float) -> float:
     """int_a^b f(t) dt by mpmath's tanh-sinh quadrature at 30 digits (f takes mpf)."""
     with mpmath.workdps(30):

@@ -760,10 +760,12 @@ def test_a_large_count_faults_its_buffers_in_once():
 @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "wait4"),
                     reason="reads peak RSS through os.wait4 on Linux")
 def test_a_large_count_peaks_within_its_segment_buffers():
-    # the 2^19-word buffers and the odd wheel put the large count ~2.2 MiB above
-    # the small one; the full wheel and 2^20-word buffers put it ~4.2 MiB above
-    _, small = _cold_usage("count", "D_1ab", "1000", "2", "2")
-    _, large = _cold_usage("count", "D_1ab", "100250000", "2", "2")
+    # the 2^19-word buffers, the odd wheel and the scatter plan put the large
+    # count ~2.6-2.9 MiB above the small one; the full wheel and 2^20-word
+    # buffers put it ~4.2 MiB above.  One cold run's peak varies by up to
+    # ~300 KiB, so each side is the least of three
+    small = min(_cold_usage("count", "D_1ab", "1000", "2", "2")[1] for _ in range(3))
+    large = min(_cold_usage("count", "D_1ab", "100250000", "2", "2")[1] for _ in range(3))
     assert large - small < 3 * 1024, (small, large)
 
 

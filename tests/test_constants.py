@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from triplesieve.errors import CapacityError, DomainError
 from triplesieve.pipeline import load_manifest
 from triplesieve.primes import primes_up_to
 from triplesieve.quadrature import (
-    ChainFamily, chain_value, fourfold_with_buchstab, integrate_nested,
+    L_QUADRUPLE, ChainFamily, chain_value, integrate_nested,
 )
 from triplesieve.sieve_functions import buchstab_w_many
 
@@ -211,7 +212,13 @@ def test_coefficient_E_matches_midpoint_cubature():
 
 def test_coefficient_L_bound_and_exact_mode():
     bound_mode = coefficient_L()
-    exact_mode = integrate_nested(fourfold_with_buchstab(buchstab_w_many))
+    # the same display with the true Buchstab factor w((1 - t1 - t2 - t3 - t4)/t2)
+    exact_mode = integrate_nested(dataclasses.replace(
+        L_QUADRUPLE,
+        integrand=lambda t1, t2, t3, t4: (
+            buchstab_w_many((1.0 - t1 - t2 - t3 - t4) / t2) / (t1 * t2**2 * t3 * t4)
+        ),
+    ))
     assert 0 < bound_mode <= _published("L")
     # the true Buchstab factor is below its tail bound everywhere in range
     assert exact_mode < bound_mode

@@ -195,6 +195,17 @@ def test_depth3_component_matches_midpoint_cubature():
     assert abs(integrate_nested(spec) - oracle) < 5e-4
 
 
+@pytest.mark.parametrize("name, divisor", [("J", "3.145"), ("K", "3.81")])
+def test_role_reversal_displays_match_the_swapped_order_oracle(name, divisor):
+    # J and K share their double and triple; the oracle integrates each with
+    # t1 innermost, in closed form, and the rest in mpmath
+    single, double, triple = oracles.role_reversal_components(divisor)
+    _, double_spec, triple_spec = named_integral_specs(name)
+    assert abs(integrate_nested(double_spec) - double) < 1e-13
+    assert abs(integrate_nested(triple_spec) - triple) < 1e-13
+    assert abs(named_integral_value(name) - (single + double + triple)) < 1e-13
+
+
 def test_unknown_named_integral():
     with pytest.raises(DomainError):
         named_integral_specs("Q")
