@@ -26,20 +26,30 @@ buffers in once, not once per segment.  A forking caller builds none of them.
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
 prime exactly when Omega == 1, so the triple count of primes p <= x with
-Omega(p+2) <= a and Omega(p+6) <= b is three aligned slices of one segment.
-The four prime-headed kinds read only odd n (past p = 2, checked on its own by
-trial division), so their segments hold one word per odd n (the kernel's
-step 2) and copy in only the wheel's odd half: half the work for the same
-range.  D_sr, whose head is any n, and sieve_omega keep one word per integer
-and the full wheel.  SEGMENT_SIZE counts words.  The mirrored kinds (N - p
-almost-prime) pair each segment [lo, hi) below N/2 with its mirror
-[N - hi + 1, N - lo + 1), so memory stays bounded by the segment size, not
-by N.  The mirror's Omega values are written reversed, so every mask of a
-pair reads its arrays forwards (a negative-stride compare of 2^20 bytes runs
-~13x slower).  At 2^19 words a worker's buffers take 1.5 MiB, 2 MiB for a
-mirrored count: the plan's 1 MiB word block and a 0.5 MiB Omega array per
-segment of a unit.  The scatter's entries in the plan add 0.54 / 1.16 / 1.77 MiB
-near 1e8 / 1e9 / 1e10, and its per-power arrays 0.05 / 0.15 / 0.44 MiB more.
+Omega(p+2) <= a and Omega(p+6) <= b is three aligned reads of one segment.
+Each count sieves only the residue classes mod M, for a squarefree M in
+{1, 2, 6, 30} dividing the wheel period, that its bounds admit.  A position
+v = n + off (or N - n) in class c holds g = gcd(c, M), and v > g gives
+Omega(v) >= omega(g) + 1, g being squarefree: so a class whose omega(g) reaches
+a position's bound (1 for a prime head) holds no counted n past the small
+ones, whose positions may equal g and are checked by trial division.  A prime
+triple's p, p + 2 and p + 6 then lie in 5 of the 30 classes, and the twin
+primes in 6; a block of step M holds one class, one word per n = c + M i, and
+copies in that class's slice of the wheel.  M and the classes follow from the
+bounds (and N); the modulus of the least cost wins, counting each class block's
+fixed cost as well as its words (_classes).  So the prime-headed counts whose
+bounds exclude little stay odd-only (M = 2), and D_sr, whose head is any n,
+mostly keeps every integer (M = 1), as does sieve_omega.  The mirrored kinds
+(N - p almost-prime) pair each unit below N/2 with its mirror above, class by
+class, so memory stays bounded by the segment size, not by N.  The mirror's
+Omega values are written reversed, so every mask of a pair reads its arrays
+forwards (a negative-stride compare of 2^20 bytes runs ~13x slower).
+SEGMENT_SIZE counts the words of a unit, shared by its k classes.  At 2^19
+words a worker's buffers take 0.5 MiB of Omega arrays, 1 MiB for a mirrored
+count, and the plan's word block of one class, 1 MiB / k.  The scatter's
+entries in the plan take 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10 at
+k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power arrays
+0.07 / 0.21 / 0.59 MiB more.
 
 This module imports numpy, but not the quadrature, the sieve curves or the
 pipeline; the Euler products of constants load with the first predictor that
@@ -62,13 +72,14 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-# words per streaming segment, read at each count.  Swept over 2^18, 2^19 and
-# 2^20 words with perfbench/run.py (2 vCPUs, six 20 s runs each, medians):
-# peak_rss_mb 33.47 / 34.91 / 36.61 MB on count_mirror and 34.49 / 34.55 /
-# 35.56 MB on count_forward, wall_s 136 / 134 / 135 ms and 146 / 130 / 133 ms.
-# 2^19 halves a worker's buffers at no cost the harness can see; one worker's
-# odd blocks near 1e10 run ~490 Mword/s against ~520 at 2^20 and 300-400 at 2^18.
-# CHANGES.md has the sweep.
+# words per streaming unit, split evenly over the classes it sieves (so 2^19 / 5
+# per class for a prime triple), read at each count.  Swept over 2^18, 2^19 and
+# 2^20 words of one class with perfbench/run.py (2 vCPUs, six 20 s runs each,
+# medians): peak_rss_mb 33.47 / 34.91 / 36.61 MB on count_mirror and 34.49 /
+# 34.55 / 35.56 MB on count_forward, wall_s 136 / 134 / 135 ms and 146 / 130 /
+# 133 ms.  2^19 halves a worker's buffers at no cost the harness can see; one
+# worker's odd blocks near 1e10 run ~490 Mword/s against ~520 at 2^20 and 300-400
+# at 2^18.  CHANGES.md has the sweep.
 SEGMENT_SIZE = 1 << 19
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
@@ -136,6 +147,14 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # count_mirror) and 64 was slower in process; 128 holds a count's scatter plan
 # to 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10, not 0.99 / 1.61 / 2.22.
 _SCATTER_HITS = 128
+# what one class block costs beyond its words, in words.  Fitted to 2-worker
+# counts near 1e8 (2 vCPUs), each forced onto M = 2, 6 and 30: pi_1ab (1,1),
+# pi_1r 1, 2 and 33.  A block's fixed cost (its powers' start indices, the
+# strided calls and one scatter entry per power) is ~50-60 us near 1e8, against
+# ~1.4 ns a word; near 1e10 it is ~3x that, so there the rule leans to more
+# classes than it should.
+_CLASS_BLOCK_COST = 36_000
+_MODULI = (1, 2, 6, 30)  # the class moduli: squarefree, each dividing the next and the wheel period
 
 
 def _log_words(p: np.ndarray, k: int) -> np.ndarray:
@@ -148,15 +167,20 @@ def _log_words(p: np.ndarray, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _wheel(step: int) -> np.ndarray:
-    """Words of the wheel's prime powers for one period, n = 0 .. 360359; with
-    step 2 only its odd n = 1, 3, .., 360359, a period of 180180 words, where
-    an odd q strikes the odd multiples of q: index (q - 1) / 2, then every q-th."""
-    wheel = np.zeros(_WHEEL_PERIOD // step, dtype=np.uint16)
-    for p in _WHEEL_PRIMES[step - 1 :]:  # step 2 drops the powers of 2
+def _wheel(modulus: int, residue: int) -> np.ndarray:
+    """Words of the wheel's prime powers for one period of the class
+    n = residue (mod modulus), for a modulus dividing 360360: index j stands for
+    n = residue + modulus j, a period of 360360 / modulus words.  Each power
+    strikes its indices as in _omega_block: from the first, every q/g-th."""
+    wheel = np.zeros(_WHEEL_PERIOD // modulus, dtype=np.uint16)
+    for p in _WHEEL_PRIMES:
         q, k = p, 1
         while _WHEEL_PERIOD % q == 0:
-            wheel[(q - 1) // 2 if step == 2 else 0 :: q] += _log_words(np.array([p]), k)[0]
+            shared = math.gcd(q, modulus)
+            if residue % shared == 0:
+                stride = q // shared
+                first = (-residue) % q // shared * pow(modulus // shared, -1, stride) % stride
+                wheel[first::stride] += _log_words(np.array([p]), k)[0]
             q, k = q * p, k + 1
     wheel.flags.writeable = False
     return wheel
@@ -164,25 +188,34 @@ def _wheel(step: int) -> np.ndarray:
 
 class _Plan:
     """The prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel
-    does not cover (at step 2 without the powers of 2), each with its word, laid
-    out for blocks of at most `words` words of that step, with the buffers such a
-    block is sieved in; built once in each process that sieves a count, never in
-    a caller that forks.
+    does not cover, each with its word, laid out for blocks of at most `words`
+    words of one class n = lo (mod M), M the step, with the buffers such a block
+    is sieved in; built once in each process that sieves a count, never in a
+    caller that forks.  One plan serves every class of its step.
 
-    A power with at least _SCATTER_HITS multiples in `words` indices is struck by
-    one strided add.  Every other power owns a run of entries, one per multiple
-    it can have among `words` indices: adds holds the run's word, steps its q.
-    A block writes each run's first index, less the previous run's last one, to
-    the run's head (heads), and a cumulative sum in place then gives every index
-    (np.take would need the run numbers as intp, a temporary of 8 bytes per
-    entry).  Indices past the block's end are clamped to its slack word n.
-    block (words + 1 uint16 words, slack included) and at are overwritten by
-    every block, so one plan serves one process at a time.
+    In a block of step M, index i stands for n = lo + M i.  A power q with
+    g = gcd(q, M) strikes every (q/g)-th index from the first i with
+    (M/g) i = ((-lo) mod q) / g (mod q/g), and none at all when g does not
+    divide lo.  g > 1 only for the powers of a prime p of M: `divisible` holds
+    those per p, each with q/p and (M/p)^-1 mod q/p, and a block whose lo p
+    divides strikes them one by one.  Every other power is coprime to M, and
+    its first index is (t + q j) / M for t = (-lo) mod q and the j < M with
+    t + q j = 0 (mod M), that is j = t u mod M with u = -q^-1 (mod M) kept per
+    power (inverse); each term stays below 30 q, so int64 holds it.
+
+    A coprime power with at least _SCATTER_HITS multiples in `words` indices is
+    struck by one strided add.  Every other power owns a run of entries, one per
+    multiple it can have among `words` indices: adds holds the run's word, steps
+    its q.  A block writes each run's first index, less the previous run's last
+    one, to the run's head (heads), and a cumulative sum in place then gives
+    every index (np.take would need the run numbers as intp, a temporary of 8
+    bytes per entry).  Indices past the block's end are clamped to its slack
+    word n.  block (words + 1 uint16 words, slack included) and at are
+    overwritten by every block, so one plan serves one process at a time.
     """
 
     def __init__(self, hi: int, base_primes: np.ndarray, step: int, words: int):
         primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
-        primes = primes[primes > 2] if step == 2 else primes
         primes = primes.astype(np.int64)
         powers, adds = [primes], [_log_words(primes, 1)]
         q = primes
@@ -194,9 +227,18 @@ class _Plan:
         q, adds = np.concatenate(powers), np.concatenate(adds)
         live = _WHEEL_PERIOD % q != 0
         q, adds = q[live], adds[live]
-        many = q * _SCATTER_HITS <= words
         self.step, self.words = step, words
+        self.divisible = []
+        for p in _WHEEL_PRIMES:
+            if step % p == 0:
+                at = q % p == 0
+                self.divisible.append((p, [(power, power // p, pow(step // p, -1, power // p), add)
+                                           for power, add in zip(q[at].tolist(), adds[at])]))
+                q, adds = q[~at], adds[~at]
+        many = q * _SCATTER_HITS <= words
         self.powers = np.concatenate([q[many], q[~many]])  # strided first
+        self.inverse = np.array([-pow(r, -1, step) % step if math.gcd(r, step) == 1 else 0
+                                 for r in range(step)])[self.powers % step]
         self.strided = list(zip(q[many].tolist(), adds[many]))
         q = q[~many]
         hits = (words - 1) // q + 1  # each q has at most this many multiples in `words`
@@ -211,18 +253,15 @@ class _Plan:
 
 
 def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Omega(n) for n in [lo, hi), sieved in the buffers of a plan built for
-    some h >= hi, primes covering sqrt(h - 1), and at least this block's words.
-
-    With the plan's step 2, lo is odd and only the odd n of [lo, hi) are
-    sieved: index i stands for n = lo + 2i.  The wheel is then its odd half, the
-    powers of 2 are dropped, and an odd q strikes every q-th index from the i
-    with lo + 2i = 0 (mod q), that is ((-lo) % q) * ((q + 1) // 2) % q, computed
-    as half the first even offset (-lo) % q or (-lo) % q + q, which stays in
-    int64.  The plan's powers above hi strike nothing below hi, or move a prime
-    above sqrt(hi - 1) from c into m below, which leaves c 1 or one prime as
-    the proof needs.  out, if given, receives the result: a uint8 array, or
-    view (a reversed one, say), of one element per word.
+    """Omega(n) for the n = lo (mod M) in [lo, hi), M the plan's step: index i
+    stands for n = lo + M i.  The block is sieved in the buffers of a plan built
+    for some h >= hi, primes covering sqrt(h - 1), and at least its words.  The
+    wheel is the class of lo's words of the full wheel, and each of the plan's
+    powers strikes from its first index (see _Plan).  The plan's powers above hi
+    strike nothing below hi, or move a prime above sqrt(hi - 1) from c into m
+    below, which leaves c 1 or one prime as the proof needs.  out, if given,
+    receives the result: a uint8 array, or view (a reversed one, say), of one
+    element per word.
 
     Each n has one uint16 word 1024 Omega(m) - S, for the part m of n found
     so far and its log sum S at scale 32.  The k-th power of p adds
@@ -231,7 +270,7 @@ def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None
     distinct prime of m, not per factor.  Every prime power of a prime
     p <= sqrt(hi - 1) is counted (the wheel's primes above sqrt(hi - 1) have
     no square below hi), so n = m * c with c either 1 or one prime above
-    sqrt(hi - 1).  Below 1e10 + 7 < 2**34, n has at most ten distinct primes
+    sqrt(hi - 1).  Below 1e10 + 67 < 2**34, n has at most ten distinct primes
     (2 * 3 * .. * 31 > 2e11) and Omega(m) <= 33, so S / 32 = log m + e with
     |e| <= 10/64 < 0.157 and S <= 32 log n + 5 < 743 < 1024.  Each add lies in
     (0, 1024), so a word only grows, and it stays below
@@ -252,16 +291,25 @@ def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None
     if n > plan.words:
         raise ValueError(f"a block of {n} words needs a plan for at least {n}, not {plan.words}")
     words = plan.block[: n + 1]  # words[n] is the slack word
-    wheel, period = _wheel(step), _WHEEL_PERIOD // step
+    wheel = _wheel(step, lo % step)
     pos, phase = 0, (lo % _WHEEL_PERIOD) // step
     while pos < n:
-        take = min(period - phase, n - pos)
+        take = min(len(wheel) - phase, n - pos)
         words[pos : pos + take] = wheel[phase : phase + take]
         pos, phase = pos + take, 0
 
-    starts = (-lo) % plan.powers
-    if step == 2:  # lo + starts is even when starts is odd; the next multiple is odd
-        starts = (starts + plan.powers * (starts & 1)) >> 1
+    for p, powers in plan.divisible:
+        if lo % p == 0:
+            for q, stride, inverse, add in powers:
+                strike = words[(-lo) % q // p * inverse % stride :: stride]
+                strike += add
+    starts = t = (-lo) % plan.powers
+    if step > 1:  # (t + q j) / M; at M = 1 it is t itself
+        starts = t * plan.inverse
+        starts -= starts // step * step  # j; % by a scalar runs ~3x slower than //
+        starts *= plan.powers
+        starts += t
+        starts //= step
     for (q, add), start in zip(plan.strided, starts[: len(plan.strided)].tolist()):
         strike = words[start::q]
         strike += add  # in place on the view, with a uint16 scalar: no copy back, no cast
@@ -388,14 +436,15 @@ def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _hits(mask: np.ndarray, tmp: np.ndarray, om: np.ndarray, at: int, head: int,
-          offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """mask[i] = om[at + i] <= head and om[at + i + off] <= bound for each
-    (off, bound), over len(mask) indices, written in place with tmp as scratch."""
+def _hits(mask: np.ndarray, tmp: np.ndarray,
+          reads: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """mask[i] = values[i] <= bound for every (values, bound) in reads, over
+    len(mask) indices, written in place with tmp as scratch."""
     span = len(mask)
-    np.less_equal(om[at : at + span], head, out=mask)
-    for off, bound in offsets:
-        mask &= np.less_equal(om[at + off : at + off + span], bound, out=tmp)
+    (values, bound), *rest = reads
+    np.less_equal(values[:span], bound, out=mask)
+    for values, bound in rest:
+        mask &= np.less_equal(values[:span], bound, out=tmp)
     return mask
 
 
@@ -486,12 +535,55 @@ def _forked_sum(make_work: Callable[[], _Work],
 def _trial_omega(n: int, primes: np.ndarray) -> int:
     """Omega(n) by trial division, for ascending primes covering sqrt(n)."""
     omega = 0
-    for p in primes.tolist():
+    for p in primes[: np.searchsorted(primes, math.isqrt(n), side="right")].tolist():
         if p * p > n:
             break
         while n % p == 0:
             n, omega = n // p, omega + 1
     return omega + (n > 1)
+
+
+class _Classes(NamedTuple):
+    """The class layout of a count: its modulus M, the residues c in 1 .. M of
+    the heads n it sieves, the residues of every position they read, and the
+    words per unit of each sieved class."""
+
+    modulus: int
+    heads: list[int]
+    needed: list[int]
+    words: int
+
+
+def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None,
+             size: int) -> _Classes:
+    """The class layout of a count: its heads' classes are those the bounds
+    admit, and it sieves theirs, their offsets' and (mirrored) their partners'
+    N - n.  The unit's classes share SEGMENT_SIZE words.
+
+    A position v = n + off (or N - n) in class c holds g = gcd(c, M), and M is
+    squarefree, so v > g gives Omega(v) >= omega(g) + 1: a class is admitted
+    when omega(g) is below the position's bound at every position (1 for a prime
+    head).  The heads with a position at or below M are not sieved (see
+    _sieve_count).  M is the modulus of the least cost per integer, the smaller
+    on a tie: k/M words for k sieved classes, each class block of w words
+    costing w + _CLASS_BLOCK_COST.
+    """
+    best = None
+    for modulus in _MODULI:
+        def admits(value: int, bound: int) -> bool:  # omega(gcd(value, M)) < bound
+            return sum(math.gcd(value, modulus) % p == 0 for p in (2, 3, 5)) < bound
+
+        heads = [c for c in range(1, modulus + 1)
+                 if admits(c, head) and all(admits(c + off, bound) for off, bound in forward)
+                 and (mirror is None or admits(size - c, mirror))]
+        needed = {(c + off - 1) % modulus + 1 for c in heads for off in (0, *(off for off, _ in forward))}
+        if mirror is not None:
+            needed |= {(size - c - 1) % modulus + 1 for c in heads}
+        words = max(1, SEGMENT_SIZE // max(len(needed), 1))
+        cost = len(needed) * (words + _CLASS_BLOCK_COST), modulus * words  # a fraction
+        if best is None or cost[0] * best[0][1] < best[0][0] * cost[1]:
+            best = cost, _Classes(modulus, heads, sorted(needed), words)
+    return best[1]
 
 
 def _sieve_count(
@@ -504,67 +596,93 @@ def _sieve_count(
     Omega(n + off) <= bound for each forward (off, bound); with a mirror bound, the
     one mark N counts the n in [2, N - 2] that also have Omega(N - n) <= mirror.
 
-    Work units are segments of SEGMENT_SIZE words, each sieved with a pad for the
-    offsets.  A prime head past 2 is odd, and so are n + 2, n + 6 and N - n, so
-    those kinds sieve only odd n (step 2: index i is n = lo + 2i, the offsets 2
-    and 6 are index offsets 1 and 3) and check p = 2 on its own by trial
-    division.  Mirrored units walk only lo <= N/2: each also sieves
-    [N - hi + 1, N - lo + 1) into a reversed buffer, which read forwards from
-    the pad on is Omega(N - n) for the unit's n, and counts both the n and their
-    partners N - n from the pair; the unit ends just past an n, so with step 2
-    both segments start on an odd n.
-    Each process that sieves builds one _Plan and one set of buffers, sized by
-    the longest unit, so memory is O(segment) per worker for every kind and a
-    unit allocates nothing of that size.  A forking caller builds neither: it
-    keeps only the prime table, which the even prime's check reads.  Unit counts
-    are added as integers, so the result does not depend on the worker count.
+    Only the classes mod M that _classes picks are sieved.  A work unit is the
+    range (lo, lo + M words] of n, lo a multiple of M: each sieved class c has
+    one block, padded for the offsets, whose index i is n = lo + c + M i, so
+    n + off is in class c' = c + off - M s at index i + s.  Mirrored units walk
+    only n <= N/2: each also sieves, per class c of n, the partners N - n into a
+    reversed buffer, which read forwards from the pad on is Omega(N - n) for the
+    class's n, and counts both the n and their partners from the pair.  The
+    heads n <= M, and the N - n with n <= M, are checked on their own by trial
+    division: a position of theirs may be g itself.  Each process that sieves
+    builds one _Plan and one set of buffers, sized by the longest unit, so
+    memory is O(segment) per worker for every kind and a unit allocates nothing
+    of that size.  A forking caller builds neither: it keeps only the prime
+    table, which the small heads' check reads.  Unit counts are added as
+    integers, so the result does not depend on the worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
     pad = max((off for off, _ in forward), default=0)
-    base_primes = primes_up_to(math.isqrt(size + pad))
+    head = 1 if head is None else head
+    modulus, heads, needed, words = _classes(head, forward, mirror, size)
+    top = size + pad + 2 * modulus  # past every n a block sieves
+    base_primes = primes_up_to(math.isqrt(top - 1))
     marks = np.asarray(marks, dtype=np.int64)
-    step, head = (2, 1) if head is None else (1, head)
-    strided = tuple((off // step, bound) for off, bound in forward)
-    padw = pad // step  # words past a unit's span: its block has span + padw words
-    first = 2 if step == 1 else 3
-    units = [(lo, min(SEGMENT_SIZE, (limit - lo) // step + 1))
-             for lo in range(first, limit + 1, step * SEGMENT_SIZE)]
+    padw = (modulus - 1 + pad) // modulus  # the largest index shift s of an offset
+    units = [(lo, min(words, (limit - lo - 1) // modulus + 1))
+             for lo in range(modulus, limit, modulus * words)]
     width = max((span for _, span in units), default=0) + padw
+
+    def residue(n: int) -> int:
+        return (n - 1) % modulus + 1
 
     def make_work() -> _Work:
         """work(unit) over one plan and one set of buffers that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        plan = _Plan(size + pad + 1, base_primes, step, width)
-        own = np.empty(width, dtype=np.uint8)
-        rev = np.empty(width, dtype=np.uint8) if mirror is not None else None
+        plan = _Plan(top, base_primes, modulus, width)
+        # Omega(n) per sieved class, and Omega(N - n) per class of n, from the pad on
+        lower = dict(zip(needed, np.empty((len(needed), width), dtype=np.uint8)))
+        upper = {} if mirror is None else dict(zip(
+            (residue(size - c) for c in needed), np.empty((len(needed), width), dtype=np.uint8)))
         # the masks live in the plan's word buffer, so they start only once every
         # block of a unit is sieved: 2 (width + 1) bytes hold two spans
         masks = plan.block.view(np.bool_)
 
+        def read(rows: dict[int, np.ndarray], c: int, off: int, start: int = 0) -> np.ndarray:
+            """The values of n + off for the n of class c, from rows."""
+            d = residue(c + off)
+            return rows[d][start + (c + off - d) // modulus :]
+
         def work(unit: tuple[int, int]) -> np.ndarray:
             lo, span = unit
-            hi = lo + step * (span - 1) + 1  # just past the unit's last n
             n = span + padw
-            lower = _omega_block(lo, hi + pad, plan, out=own[:n])
+
+            def hits(c: int, reads: list[tuple[np.ndarray, int]]) -> np.ndarray:
+                """The hits among class c's n <= limit."""
+                k = min(span, max(0, (limit - lo - c) // modulus + 1))
+                return _hits(masks[:k], masks[k : 2 * k], reads)
+
+            for c, values in lower.items():
+                _omega_block(lo + c, lo + c + modulus * (n - 1) + 1, plan, out=values[:n])
+            for c, values in upper.items():
+                last = size - lo - c + modulus * padw  # N - n at index -padw
+                _omega_block(last - modulus * (n - 1), last + 1, plan, out=values[:n][::-1])
+            own = [[(read(lower, c, 0), head)] + [(read(lower, c, off), bound) for off, bound in forward]
+                   for c in heads]
             if mirror is None:
-                mask = _hits(masks[:span], masks[span : 2 * span], lower, 0, head, strided)
-                if np.any((marks >= lo) & (marks < hi - 1)):  # a mark inside the unit
-                    return np.searchsorted(lo + step * np.nonzero(mask)[0], marks, side="right")
-                return np.where(marks >= hi - 1, np.count_nonzero(mask), 0)
-            # upper[k] is Omega(N - lo - step (k - padw)): upper[padw + i] pairs with lower[i]
-            upper = _omega_block(size - hi + 1, size - lo + 1 + pad, plan, out=rev[:n][::-1])[::-1]
-            mask, tmp = masks[:span], masks[span : 2 * span]
-            _hits(mask, tmp, lower, 0, head, strided)
-            mask &= np.less_equal(upper[padw : padw + span], mirror, out=tmp)
-            count = np.count_nonzero(mask)
-            # the partners N - n: their offsets n + off are N - n - off, padw - off words back
-            _hits(mask, tmp, upper, padw, head, tuple((-off, bound) for off, bound in strided))
-            mask &= np.less_equal(lower[:span], mirror, out=tmp)
-            if 2 * (hi - 1) == size:  # n = N/2 is its own partner: counted in the lower half only
-                mask[-1] = False
-            return np.array([count + np.count_nonzero(mask)])
+                total = np.zeros(len(marks), dtype=np.int64)
+                inside = np.any((marks > lo) & (marks < lo + modulus * span))
+                for c, reads in zip(heads, own):
+                    mask = hits(c, reads)
+                    if inside:  # a mark inside the unit
+                        found = lo + c + modulus * np.flatnonzero(mask)
+                        total += np.searchsorted(found, marks, side="right")
+                    else:
+                        total += np.where(marks > lo, np.count_nonzero(mask), 0)
+                return total
+            count = sum(np.count_nonzero(hits(c, reads + [(read(upper, c, 0, padw), mirror)]))
+                        for c, reads in zip(heads, own))
+            # the partners N - n of the n in class c: their offsets N - n + off
+            # are N - (n - off)
+            for c in [residue(size - h) for h in heads]:
+                mask = hits(c, [(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
+                            + [(read(upper, c, -off, padw), bound) for off, bound in forward])
+                if len(mask) and 2 * (lo + c + modulus * (len(mask) - 1)) == size:
+                    mask[-1] = False  # n = N/2 is its own partner: counted in the lower half only
+                count += np.count_nonzero(mask)
+            return np.array([count])
 
         return work
 
@@ -573,12 +691,15 @@ def _sieve_count(
         counts = _forked_sum(make_work, units, workers, len(marks))
     else:
         counts = _unit_sum(make_work, units, len(marks))
-    if step == 2 and size >= 2:  # the even prime; base_primes covers sqrt(size + pad)
-        two = all(_trial_omega(2 + off, base_primes) <= bound for off, bound in forward)
-        if mirror is not None:
-            two = two and _trial_omega(size - 2, base_primes) <= mirror
-        counts += two & (marks >= 2)
-    return counts
+    # the heads with a position at or below M; base_primes covers sqrt(top - 1)
+    small = set(range(2, min(modulus, size if mirror is None else size - 2) + 1))
+    if mirror is not None:
+        small |= set(range(max(size - modulus, 2), size - 1))
+    hits = sorted(n for n in small if _trial_omega(n, base_primes) <= head
+                  and all(_trial_omega(n + off, base_primes) <= bound for off, bound in forward)
+                  and (mirror is None or _trial_omega(size - n, base_primes) <= mirror))
+    # int64 throughout: adding a bool array would allocate a 128 KiB casting buffer
+    return counts + np.searchsorted(np.array(hits, dtype=np.int64), marks, side="right")
 
 
 # ---------------------------------------------------------------------------

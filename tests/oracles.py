@@ -86,6 +86,44 @@ def primes_below(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if is_prime(n)]
 
 
+def at_most_two_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over 0 .. limit of the n with Omega(n) == 1 and with
+    1 <= Omega(n) <= 2, from a plain sieve of Eratosthenes over every integer
+    that records each n's least prime factor f: n is prime when f = n, and has
+    at most two prime factors when n / f is 1 or prime."""
+    factor = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if factor[p] == 0:
+            multiples = factor[p * p :: p]
+            multiples[multiples == 0] = p
+    n = np.arange(limit + 1, dtype=np.int32)
+    factor[factor == 0] = n[factor == 0]
+    prime = factor == n
+    prime[:2] = False
+    n[2:] //= factor[2:]  # n / f
+    return prime, prime | (prime[n] & (factor >= 2))
+
+
+def eratosthenes_count(kind: str, size: int, *params: int) -> int:
+    """pi_1ab, pi_1r, D_1ab or D_1r, with every bound 1 or 2, by whole-array
+    masks over at_most_two_factors(size + 6)."""
+    prime, two = at_most_two_factors(size + 6)
+    within = {1: prime, 2: two}
+    if kind == "pi_1ab":
+        a, b = params
+        hit = prime[: size + 1] & within[a][2 : size + 3] & within[b][6 : size + 7]
+    elif kind == "pi_1r":
+        (r,) = params
+        hit = prime[: size + 1] & within[r][2 : size + 3]
+    elif kind == "D_1ab":
+        a, b = params  # p <= N - 2, with N - p read reversed
+        hit = prime[: size - 1] & within[a][size : 1 : -1] & within[b][6 : size + 5]
+    else:
+        (r,) = params
+        hit = prime[: size - 1] & within[r][size : 1 : -1]
+    return int(np.count_nonzero(hit))
+
+
 def brute_pi_1ab(x: int, a: int, b: int, table: list[int] | None = None) -> list[int]:
     """Qualifying primes p <= x with Omega(p+2) <= a, Omega(p+6) <= b."""
     if table is None:

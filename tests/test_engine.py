@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import signal
@@ -149,7 +150,7 @@ def test_kernel_matches_residual_oracle_per_segment_size(size):
         _assert_kernel_matches_oracle(lo, lo + size)
 
 
-# the odd-only layout of the prime-headed kinds: index i is n = lo + 2i, lo odd
+# the odd-only layout (M = 2): index i is n = lo + 2i, lo odd
 @pytest.mark.parametrize("lo, hi", [
     *((k * 360360 - 5001, k * 360360 + 5001) for k in (1, 2, 277)),  # wheel seams k 360360 +- 1
     (10**10 - 2**20 + 1, 10**10),
@@ -165,6 +166,39 @@ def test_odd_kernel_matches_residual_oracle(lo, hi):
 def test_odd_kernel_matches_residual_oracle_per_segment_size(words):
     for lo in (3, 10**8 + 1 - 2 * words):  # the second window ends at 1e8
         _assert_kernel_matches_oracle(lo, lo + 2 * words, step=2)
+
+
+# the class layouts of moduli 6 and 30: index i is n = lo + M i, for every
+# residue of lo, the non-coprime ones included (3 mod 6; 5, 15 and 25 mod 30),
+# where the powers 16, 27, 25, 125 .. of the modulus' primes strike every
+# (q / gcd(q, M))-th index
+_CLASS_WINDOWS = [
+    (2, 100_000),
+    *((k * 360360 - 5000, k * 360360 + 5000) for k in (1, 277)),  # wheel seams
+    (10**10 - 2**20, 10**10),
+    (2**33 - 500, 2**33 + 500),
+    (3**20 - 5000, 3**20 + 5001),
+    (6469693230 - 4999, 6469693230 + 5001),  # 2 3 5 .. 29: the most distinct primes
+]
+
+
+@functools.cache
+def _residual_window(lo, hi):
+    return oracles.omega_block_residual(lo, hi, primes_up_to(math.isqrt(hi - 1)))
+
+
+@pytest.mark.parametrize("modulus, residue", [(6, r) for r in range(6)] + [(30, r) for r in range(30)])
+def test_class_kernel_matches_residual_oracle(modulus, residue):
+    for lo, hi in _CLASS_WINDOWS:
+        start = lo + (residue - lo) % modulus
+        words = (hi - start + modulus - 1) // modulus
+        plan = _Plan(hi, primes_up_to(math.isqrt(hi - 1)), modulus, words)
+        got = _omega_block(start, hi, plan)
+        want = _residual_window(lo, hi)[start - lo :: modulus]
+        mismatches = np.nonzero(got != want)[0]
+        assert len(got) == len(want) and mismatches.size == 0, (
+            f"first mismatch at n = {start + modulus * int(mismatches[0])}" if mismatches.size
+            else (lo, hi))
 
 
 def test_omega_segment_accessor_bounds():
@@ -214,18 +248,21 @@ def test_pi_counts_match_brute_force_grid():
 
 
 def test_pi_1r_small_sizes_match_brute_force():
-    table = oracles.omega_table(52)
+    # every head with a position at or below 30, checked apart from the classes
+    table = oracles.omega_table(102)
     for r in (1, 2, 3):
-        for x in range(51):
+        for x in range(101):
             assert count_pi_1r(x, r).count == len(oracles.brute_pi_1r(x, r, table)), (x, r)
 
 
 def test_pi_1ab_small_sizes_match_brute_force():
-    # p = 2 is checked outside the odd-only segments: Omega(4) = 2, Omega(8) = 3
-    table = oracles.omega_table(56)
+    # the heads with a position at or below the modulus are checked apart from
+    # the classes: p = 2 with Omega(4) = 2 and Omega(8) = 3, or p = 13 with
+    # Omega(15) = 2, whose class 13 mod 30 a = 2 excludes
+    table = oracles.omega_table(106)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            for x in range(51):
+            for x in range(101):
                 want = len(oracles.brute_pi_1ab(x, a, b, table))
                 assert count_pi_1ab(x, a, b).count == want, (x, a, b)
 
@@ -239,7 +276,7 @@ def test_mirrored_counts_match_brute_force():
 
 
 def test_mirrored_counts_reach_the_even_prime():
-    # p = 2 is checked outside the odd-only segments, on Omega(N - 2) and Omega(8) = 3
+    # p = 2 is checked apart from the classes, on Omega(N - 2) and Omega(8) = 3
     for N in range(8, 301, 2):
         for a in (1, 2, 3):
             assert count_D_1ab(N, a, 3).count == oracles.brute_D_1ab(N, a, 3), (N, a)
@@ -250,7 +287,8 @@ def test_mirrored_counts_reach_the_even_prime():
 
 def _mirror_edge_sizes(step):
     """Even N whose N/2 is one before, on and one after the fourth segment's start:
-    2 + 3 step for the full-width D_sr, 3 + 6 step for the odd-only kinds."""
+    2 + 3 step for D_sr on every integer (M = 1), 3 + 6 step for the odd-only
+    kinds (M = 2)."""
     return [2 * (edge + d) for edge in (2 + 3 * step, 3 + 6 * step) for d in (-1, 0, 1)]
 
 
@@ -265,6 +303,64 @@ def test_mirrored_counts_match_full_array_reference(monkeypatch, step):
         assert count_D_1r(N, 2).count == oracles.mirrored_count("D_1r", N, 2), N
         assert count_D_sr(N, 2, 3).count == oracles.mirrored_count("D_sr", N, 2, 3), N
         assert count_D_sr(N, 3, 1).count == oracles.mirrored_count("D_sr", N, 3, 1), N
+
+
+def test_bound_one_counts_match_a_sieve_of_eratosthenes():
+    # the three layouts of the forward counts at 1e7: M = 30 for (1, 1) and the
+    # twin primes (OEIS A007508), and (1, 2)'s
+    x = 10**7
+    assert count_pi_1r(x, 1).count == oracles.eratosthenes_count("pi_1r", x, 1) == 58980
+    assert count_pi_1ab(x, 1, 1).count == oracles.eratosthenes_count("pi_1ab", x, 1, 1)
+    assert count_pi_1ab(x, 1, 2).count == oracles.eratosthenes_count("pi_1ab", x, 1, 2)
+
+
+@pytest.mark.parametrize("N", [3 * 10**6 + d for d in (0, 2, 4, 10, 20)])
+def test_mirrored_bound_one_counts_match_a_sieve_of_eratosthenes(N):
+    # every residue of N mod 30 that moves the classes: D_1ab (2, 2) runs on
+    # M = 6 when 30 | N and on M = 2 otherwise; D_1r 1 runs on M = 30
+    assert count_D_1r(N, 1).count == oracles.eratosthenes_count("D_1r", N, 1)
+    assert count_D_1ab(N, 1, 1).count == oracles.eratosthenes_count("D_1ab", N, 1, 1)
+    assert count_D_1ab(N, 2, 2).count == oracles.eratosthenes_count("D_1ab", N, 2, 2)
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 6, 30])
+@pytest.mark.parametrize("segment", [7, 1001])
+def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
+    # each count forced onto one modulus, across many units: the classes and their
+    # seams, the offsets' index shifts, the partners' reversed blocks and the
+    # heads checked by trial division
+    monkeypatch.setattr(engine, "_MODULI", (modulus,))
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", segment)
+    for N in (8, 30, 32, 62, 64, 90, 2 * (1 + 30 * segment) + 4, 20_000, 20_002, 20_010):
+        for kind, params in (("D_1ab", (2, 3)), ("D_1ab", (1, 1)), ("D_1r", (1,)), ("D_1r", (2,)),
+                             ("D_sr", (2, 3)), ("D_sr", (1, 1))):
+            got = getattr(engine, f"count_{kind}")(N, *params).count
+            assert got == oracles.mirrored_count(kind, N, *params), (kind, N, params)
+    x, marks = 5000, [2, 5, 29, 30, 31, 97, 1000, 4999, 5000]
+    table = oracles.omega_table(x + 6)
+    for a, b in ((1, 1), (2, 1), (2, 3)):
+        assert [r.count for r in ratio_scan("pi_1ab", (a, b), marks)] == [
+            len(oracles.brute_pi_1ab(m, a, b, table)) for m in marks]
+    for r in (1, 2):
+        assert [res.count for res in ratio_scan("pi_1r", (r,), marks)] == [
+            len(oracles.brute_pi_1r(m, r, table)) for m in marks]
+
+
+@pytest.mark.parametrize("count, modulus, heads, needed", [
+    # a prime triple's p, p + 2 and p + 6 are prime only in 5 of the 30 classes
+    ((1, ((2, 1), (6, 1)), None, 10**8), 30, [11, 17], [11, 13, 17, 19, 23]),
+    ((1, ((2, 1),), None, 10**8), 30, [11, 17, 29], [1, 11, 13, 17, 19, 29]),
+    ((1, (), 1, 3 * 10**6 + 2), 30, [1, 13, 19], [1, 13, 19]),
+    ((1, ((6, 2),), 2, 99750000), 6, [1, 5], [1, 5]),  # 10/30 at M = 30: a tie
+    ((1, ((6, 2),), 2, 99875000), 2, [1], [1]),
+    # 13/30, 12/30 and 27/30 of the words, but many more class blocks
+    ((1, ((2, 2), (6, 2)), None, 10**8), 2, [1], [1]),
+    ((1, ((2, 2),), None, 10**8), 2, [1], [1]),
+    ((1, ((2, 33),), None, 10**8), 2, [1], [1]),
+    ((2, (), 3, 10**8), 1, [1], [1]),
+])
+def test_classes_follow_the_bounds(count, modulus, heads, needed):
+    assert engine._classes(*count)[:3] == (modulus, heads, needed)
 
 
 def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
@@ -283,7 +379,7 @@ def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
     assert max(peaks) < 3 * 2**20, peaks
 
 
-def test_odd_wheel_is_the_odd_half_of_the_full_wheel():
+def test_class_wheels_are_slices_of_the_full_wheel():
     # word of n: the words of every wheel prime power p^k dividing n, added up
     n = np.arange(engine._WHEEL_PERIOD)
     wheel = np.zeros(engine._WHEEL_PERIOD, dtype=np.uint16)
@@ -291,17 +387,25 @@ def test_odd_wheel_is_the_odd_half_of_the_full_wheel():
         for k in range(1, 4):
             if engine._WHEEL_PERIOD % p**k == 0:
                 wheel[n % p**k == 0] += engine._log_words(np.array([p]), k)[0]
-    assert np.array_equal(engine._wheel(1), wheel)
-    assert np.array_equal(engine._wheel(2), wheel[1::2])
+    assert np.array_equal(engine._wheel(1, 0), wheel)
+    for modulus in (2, 6, 30):
+        for residue in range(modulus):
+            assert np.array_equal(engine._wheel(modulus, residue), wheel[residue::modulus]), (
+                modulus, residue)
 
 
-def test_prime_headed_counts_cache_only_the_odd_wheel():
+def test_prime_headed_counts_never_build_the_full_wheel(monkeypatch):
+    # the full wheel is 720 KB; a prime head is odd, so its classes need at most half
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")  # the wheels are built in this process
     engine._wheel.cache_clear()
     count_D_1ab(10**6, 2, 2)
+    count_D_1r(10**6 + 2, 1)
     count_pi_1ab(10**6, 1, 1)
-    assert engine._wheel.cache_info().currsize == 1
-    engine._wheel(2)  # a hit: the one entry is the step-2 wheel
-    assert engine._wheel.cache_info().currsize == 1
+    count_pi_1r(10**6, 33)
+    built = engine._wheel.cache_info()
+    assert built.currsize > 0
+    engine._wheel(1, 0)
+    assert engine._wheel.cache_info().misses == built.misses + 1  # not built before
 
 
 def test_trial_omega_matches_the_oracle():
@@ -340,7 +444,8 @@ def test_vacuous_offset_condition_at_1e9():
 
 def test_mirrored_kinds_agree_at_1e9():
     # s = 1 makes D_sr's head a prime, and b = 33 makes D_1ab's p + 6 condition
-    # vacuous: the full-width kernel against the odd-only one, on two paths
+    # vacuous: three kinds' masks over one layout (M = 2); D_sr's full width
+    # (M = 1) is pinned at 1e9 by the symmetry test below
     N = 10**9
     assert count_D_sr(N, 1, 2).count == count_D_1r(N, 2).count == 17511214
     assert count_D_1ab(N, 2, 33).count == 17511214
