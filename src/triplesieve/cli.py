@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -66,8 +67,14 @@ def _emit(text: str, out_path: str | None) -> None:
             raise OSError("standard output is closed")
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".triplesieve-")
+    # the errors name the path given, not the temporary file that replaces it
+    if os.path.isdir(out_path):  # the temporary file would go to its parent
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)),
+                                   prefix=".triplesieve-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -284,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("functions", help="tabulate a sieve curve at given points")
     p.add_argument("which", choices=("F0", "f0", "w"))
-    p.add_argument("--points", required=True, metavar="p1,p2,...")
+    p.add_argument("--points", required=True, metavar="p1,p2,...",
+                   help="comma-separated points; write --points=-1,3 when the first is negative")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_functions)
 

@@ -8,7 +8,11 @@ prod_{s>=2} zeta_Q(s)^-M(c,s) with zeta_Q(s) = zeta(s) prod_{p<=Q} (1 - p^-s),
 where M(c, s) counts the aperiodic necklaces of s beads in c colours (by the
 cyclotomic identity 1 - cx = prod_s (1 - x^s)^M(c,s)).  That is the prime-zeta
 tail exp(-sum_k (c^k - c)/k P_Q(k)) of Cohen (1998) and Moree (2000) regrouped
-by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  C(N)
+by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  The
+products are scalar math: 167 primes and the five exponents s = 2 .. 6 are too
+few for arrays to pay; math's log1p and ** leave numpy's vector-math kernels
+(~0.6 MB) out of a forked count's caller, whose peak is the count's; and C3
+comes out correctly rounded, where numpy's SIMD kernels left it an ulp low.  C(N)
 rescales C2/2 by the odd prime divisors of N.  The remaining constants
 aggregate quadrature results: C0 sums the chain densities c_k, and the E/L
 coefficients evaluate the two role-reversal error displays with the Buchstab
@@ -20,8 +24,6 @@ from __future__ import annotations
 import math
 from functools import cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
@@ -55,19 +57,20 @@ class EulerProductResult(NamedTuple):
 
 def partial_product(c: int, P: int) -> float:
     """C2 (c = 2) or C3 (c = 3) truncated at p <= P, from the logs of the factors
-    1 - 1/(p-1)^2 and 1 - (3p-1)/(p-1)^3: log(1 - c/p) - c log(1 - 1/p) would cancel."""
-    p = primes_up_to(P)[c - 1 :].astype(np.float64)  # the primes past c = 2 or 3
-    x = 1.0 / (p - 1) ** 2 if c == 2 else (3 * p - 1) / (p - 1) ** 3
-    return _PREFACTOR[c] * math.exp(math.fsum(np.log1p(-x)))
+    1 - 1/(p-1)^2 and 1 - (3p-1)/(p-1)^3: log(1 - c/p) - c log(1 - 1/p) would cancel.
+    Each x is an integer quotient, so it is correctly rounded."""
+    p = primes_up_to(P)[c - 1 :].tolist()  # the primes past c = 2 or 3
+    x = [1 / (q - 1) ** 2 for q in p] if c == 2 else [(3 * q - 1) / (q - 1) ** 3 for q in p]
+    return _PREFACTOR[c] * math.exp(math.fsum(math.log1p(-t) for t in x))
 
 
-def _odd_zeta_minus_one(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _odd_zeta_minus_one(s: int) -> tuple[float, float]:
     """zeta(s) (1 - 2^-s) - 1, the sum of n^-s over odd n >= 3, and its error bound:
     past n = 21 by Euler–Maclaurin with step 2, where n^-s is completely monotone,
     so the last correction bounds the truncation.  Rounding adds at most 12 units
     of roundoff: one per power, eight in the head's sum, two in the tail and sum."""
-    m = 21.0
-    head = (np.arange(3.0, m, 2.0)[:, None] ** -s).sum(axis=0)
+    m = 21
+    head = sum(n**-s for n in range(3, m, 2))
     tail = m ** (1 - s) / (2 * (s - 1)) + 0.5 * m**-s
     step = 2 * s * m ** (-s - 1)  # 2^(2j-1) (s)_(2j-1) m^(-s-2j+1)
     for j, b in enumerate(_B2K, 1):
@@ -75,7 +78,7 @@ def _odd_zeta_minus_one(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         correction = b / math.factorial(2 * j) * step
         tail += correction
     value = head + tail
-    return value, np.abs(correction) + 12 * _UNIT_ROUNDOFF * value
+    return value, abs(correction) + 12 * _UNIT_ROUNDOFF * value
 
 
 @cache
@@ -90,19 +93,21 @@ def _euler_product(c: int) -> EulerProductResult:
     M = [0] * (S + 1)  # M(c, s), from c^s = sum_{d | s} d M(c, d)
     for k in range(1, S + 1):
         M[k] = (c**k - sum(d * M[d] for d in range(1, k) if k % d == 0)) // k
-    M, s = np.array(M[2:], dtype=np.float64), np.arange(2.0, S + 1)
-    z, z_err = _odd_zeta_minus_one(s)
-    p = primes_up_to(Q)[1:].astype(np.float64)
+    M, powers = M[2:], range(2, S + 1)
+    z, z_err = zip(*map(_odd_zeta_minus_one, powers))
+    p = primes_up_to(Q)[1:].tolist()
     # each log zeta_Q(s) is log(1 + z) + sum_{2<p<=Q} log(1 - p^-s)
-    tail = np.concatenate((-M * np.log1p(z), (-M * np.log1p(-(p[:, None] ** -s))).ravel()))
+    tail = [-m * math.log1p(zs) for m, zs in zip(M, z)]
+    tail += [-m * math.log1p(-(q**-s)) for m, s in zip(M, powers) for q in p]
     head = partial_product(c, Q)
     # rounding: past z_err each term is within 8 units of roundoff (an ulp for a
     # power or quotient and for log1p, one for M); the head's terms share a sign;
     # two fsums, two exps and three products add at most 12 more
-    size = abs(math.log(head / _PREFACTOR[c])) + float(np.abs(tail).sum())
+    size = abs(math.log(head / _PREFACTOR[c])) + math.fsum(map(abs, tail))
     rounding = _UNIT_ROUNDOFF * (8 * size + 12)
     value = head * math.exp(math.fsum(tail))
-    return EulerProductResult(value, Q, truncation + float(M @ z_err) + rounding)
+    z_bound = math.fsum(m * e for m, e in zip(M, z_err))
+    return EulerProductResult(value, Q, truncation + z_bound + rounding)
 
 
 def constant_C3(tol: float | None = None) -> EulerProductResult:

@@ -54,7 +54,12 @@ k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power arrays
 This module imports numpy, but not the quadrature, the sieve curves or the
 pipeline; the Euler products of constants load with the first predictor that
 uses one (D_1ab's uses none), and ``import triplesieve`` itself loads none of
-them until a public name is used.
+them until a public name is used.  A forked count's peak RSS is its caller's:
+os.wait4 reports the largest process of the tree, and a worker faults in only
+the file-backed pages it runs on.  So every page the caller touches past its
+imports counts.  It loads the modules a count needs and no more.  The failure
+paths import their own: traceback in a worker that raises, and signal in the
+caller's kill of the workers left.
 """
 
 from __future__ import annotations
@@ -62,8 +67,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import signal
-import traceback
 import warnings
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 
@@ -490,6 +493,8 @@ def _fork_worker(make_work: Callable[[], _Work],
                 data = data[os.write(write, data):]
             status = 0
         except BaseException:
+            import traceback  # only a failing worker loads it
+
             traceback.print_exc()
         finally:
             os._exit(status)
@@ -526,10 +531,13 @@ def _forked_sum(make_work: Callable[[], _Work],
             total += np.frombuffer(data, dtype=np.int64)
         return total
     finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if children:  # workers are left only when the count failed
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _trial_omega(n: int, primes: np.ndarray) -> int:

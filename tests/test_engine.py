@@ -578,7 +578,7 @@ def _no_child_left():
 @pytest.mark.parametrize(
     "failure", ["child raises", "child is killed", "child is killed at exit", "caller is interrupted"]
 )
-def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, failure):
+def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, capfd, failure):
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
@@ -620,6 +620,9 @@ def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, failur
         sent = 8 if failure == "child is killed at exit" else 0
         with pytest.raises(RuntimeError, match=f"exited with status {status} after sending {sent} "):
             count_pi_1ab(200_000, 2, 2)
+        if failure == "child raises":  # the worker imports traceback only to print this
+            err = capfd.readouterr().err
+            assert "Traceback (most recent call last)" in err and "ValueError: injected" in err, err
     _no_child_left()
 
 
