@@ -9,11 +9,13 @@ where M(c, s) counts the aperiodic necklaces of s beads in c colours (by the
 cyclotomic identity 1 - cx = prod_s (1 - x^s)^M(c,s)).  That is the prime-zeta
 tail exp(-sum_k (c^k - c)/k P_Q(k)) of Cohen (1998) and Moree (2000) regrouped
 by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  The
-products are scalar math: 167 primes and the five exponents s = 2 .. 6 are too
-few for arrays to pay; math's log1p and ** leave numpy's vector-math kernels
-(~0.6 MB) out of a forked count's caller, whose peak is the count's; and C3
-comes out correctly rounded, where numpy's SIMD kernels left it an ulp low.  C(N)
-rescales C2/2 by the odd prime divisors of N.  The remaining constants
+products are scalar math over the prime table's tuple: 167 primes and the five
+exponents s = 2 .. 6 are too few for arrays to pay; math's log1p and ** leave
+numpy's vector-math kernels (~0.6 MB) out of a forked count's caller, whose
+peak is the count's; and C3 comes out correctly rounded, where numpy's SIMD
+kernels left it an ulp low.  C(N) rescales C2/2 by the odd prime divisors of N,
+found by trial division that stops once q^2 exceeds the cofactor left.  So C2,
+C3 and C(N) load no numpy.  The remaining constants
 aggregate quadrature results: C0 sums the chain densities c_k, and the E/L
 coefficients evaluate the two role-reversal error displays with the Buchstab
 factor replaced by its tail bound, 0.5617 for E and 0.5644 for L.
@@ -59,7 +61,7 @@ def partial_product(c: int, P: int) -> float:
     """C2 (c = 2) or C3 (c = 3) truncated at p <= P, from the logs of the factors
     1 - 1/(p-1)^2 and 1 - (3p-1)/(p-1)^3: log(1 - c/p) - c log(1 - 1/p) would cancel.
     Each x is an integer quotient, so it is correctly rounded."""
-    p = primes_up_to(P)[c - 1 :].tolist()  # the primes past c = 2 or 3
+    p = primes_up_to(P)[c - 1 :]  # the primes past c = 2 or 3
     x = [1 / (q - 1) ** 2 for q in p] if c == 2 else [(3 * q - 1) / (q - 1) ** 3 for q in p]
     return _PREFACTOR[c] * math.exp(math.fsum(math.log1p(-t) for t in x))
 
@@ -95,7 +97,7 @@ def _euler_product(c: int) -> EulerProductResult:
         M[k] = (c**k - sum(d * M[d] for d in range(1, k) if k % d == 0)) // k
     M, powers = M[2:], range(2, S + 1)
     z, z_err = zip(*map(_odd_zeta_minus_one, powers))
-    p = primes_up_to(Q)[1:].tolist()
+    p = primes_up_to(Q)[1:]
     # each log zeta_Q(s) is log(1 + z) + sum_{2<p<=Q} log(1 - p^-s)
     tail = [-m * math.log1p(zs) for m, zs in zip(M, z)]
     tail += [-m * math.log1p(-(q**-s)) for m, s in zip(M, powers) for q in p]
@@ -128,12 +130,15 @@ def singular_series_CN(N: int) -> float:
     if N > MAX_FACTORABLE_N:
         raise CapacityError(f"N capped at {MAX_FACTORABLE_N} for trial division")
     odd = N // (N & -N)  # N without its factors 2
-    p = primes_up_to(math.isqrt(odd))[1:]
-    factors = [int(q) for q in p[odd % p == 0]]
-    for q in factors:
-        while odd % q == 0:
-            odd //= q
-    factors += [odd] if odd > 1 else []  # the cofactor left is prime
+    factors = []
+    for q in primes_up_to(math.isqrt(odd))[1:]:
+        if q * q > odd:
+            break
+        if odd % q == 0:
+            factors.append(q)
+            while odd % q == 0:
+                odd //= q
+    factors += [odd] if odd > 1 else []  # the cofactor left has no factor below its root: prime
     return math.prod((q - 1) / (q - 2) for q in factors) * _euler_product(2).value / 2.0
 
 

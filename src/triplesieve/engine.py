@@ -14,14 +14,16 @@ independent work units shared out over forked worker processes (the kernel's
 many short NumPy calls hold the GIL, so threads barely overlap); each worker
 sends back an integer sum, so results do not depend on the worker count.
 TRIPLESIEVE_THREADS sizes the workers.  With two or more, the calling process
-only coordinates: it forks every worker and adds their sums, and sieves
-nothing, so its own pages (numpy and the interpreter's code) never sit in one
-process with a set of segment buffers.  With one worker, or where os.fork is
+only coordinates: it forks every worker and adds their sums as Python ints, and
+sieves nothing, so its own pages (numpy and the interpreter's code) never sit in
+one process with a set of segment buffers.  With one worker, or where os.fork is
 missing, a count runs serially in the calling process.  Every process that
-sieves builds its count's prime powers and the scatter's plan once (_Plan) and
-sieves every segment it takes in one set of buffers sized by the count's largest
-segment, so a segment allocates nothing of its own size: each worker faults its
-buffers in once, not once per segment.  A forking caller builds none of them.
+sieves builds its count's base primes, prime powers and scatter plan once
+(_Plan) and sieves every segment it takes in one set of buffers sized by the
+count's largest segment, so a segment allocates nothing of its own size: each
+worker faults its buffers in once, not once per segment.  The process that takes
+the first unit also checks the few heads below it by trial division.  A forking
+caller builds none of them, not even the prime table, and runs no numpy.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -57,13 +59,16 @@ uses one (D_1ab's uses none), and ``import triplesieve`` itself loads none of
 them until a public name is used.  A forked count's peak RSS is its caller's:
 os.wait4 reports the largest process of the tree, and a worker faults in only
 the file-backed pages it runs on.  So every page the caller touches past its
-imports counts.  It loads the modules a count needs and no more.  The failure
-paths import their own: traceback in a worker that raises, and signal in the
-caller's kill of the workers left.
+imports counts.  It loads the modules a count needs and no more, and past them
+runs pure Python: the unit list, the fork, the int sums and the predictor, whose
+constants are scalar math over the tuple prime table.  The failure paths import
+their own: traceback in a worker that raises, and signal in the caller's kill of
+the workers left.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -217,9 +222,9 @@ class _Plan:
     overwritten by every block, so one plan serves one process at a time.
     """
 
-    def __init__(self, hi: int, base_primes: np.ndarray, step: int, words: int):
-        primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
-        primes = primes.astype(np.int64)
+    def __init__(self, hi: int, base_primes: Sequence[int], step: int, words: int):
+        primes = np.array(base_primes[: bisect.bisect_right(base_primes, math.isqrt(hi - 1))],
+                          dtype=np.int64)
         powers, adds = [primes], [_log_words(primes, 1)]
         q = primes
         while len(q):  # q * p < hi holds for a prefix, since the primes ascend
@@ -503,32 +508,34 @@ def _fork_worker(make_work: Callable[[], _Work],
 
 
 def _forked_sum(make_work: Callable[[], _Work],
-                units: Sequence[tuple[int, int]], workers: int, length: int) -> np.ndarray:
-    """_unit_sum over units on workers forked processes: worker k takes units[k::workers].
+                units: Sequence[tuple[int, int]], workers: int, length: int) -> list[int]:
+    """_unit_sum over units on workers forked processes, as ints: worker k takes
+    units[k::workers].
 
     The caller only coordinates: it forks every worker, then reads each one's
-    partial sum and reaps it.  It never calls make_work, so no plan or set of
-    segment buffers is built beside the code pages only it has mapped.  A
-    worker that exits non-zero, dies by a signal or sends short data raises
-    RuntimeError; on any exception the workers left are killed and reaped.
+    partial sum and reaps it, and adds the sums as ints.  It never calls
+    make_work and runs no numpy, so no plan, set of segment buffers or numpy
+    code page is faulted in beside the pages only it has mapped.  A worker that
+    exits non-zero, dies by a signal or sends short data raises RuntimeError; on
+    any exception the workers left are killed and reaped.
     """
     children: dict[int, BinaryIO] = {}  # pid -> its pipe
     try:
         for k in range(workers):
             pid, pipe = _fork_worker(make_work, units[k::workers], length)
             children[pid] = pipe
-        total = np.zeros(length, dtype=np.int64)
+        total, size = [0] * length, 8 * length  # the workers send int64
         for pid, pipe in list(children.items()):
             data = pipe.read()  # to the end: the worker has exited or closed its end
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             pipe.close()
-            if status != 0 or len(data) != total.nbytes:
+            if status != 0 or len(data) != size:
                 raise RuntimeError(
                     f"sieve worker {pid} exited with status {status} "
-                    f"after sending {len(data)} of {total.nbytes} bytes"
+                    f"after sending {len(data)} of {size} bytes"
                 )
-            total += np.frombuffer(data, dtype=np.int64)
+            total = [a + b for a, b in zip(total, memoryview(data).cast("q"))]
         return total
     finally:
         if children:  # workers are left only when the count failed
@@ -540,10 +547,10 @@ def _forked_sum(make_work: Callable[[], _Work],
                 os.waitpid(pid, 0)
 
 
-def _trial_omega(n: int, primes: np.ndarray) -> int:
+def _trial_omega(n: int, primes: Sequence[int]) -> int:
     """Omega(n) by trial division, for ascending primes covering sqrt(n)."""
     omega = 0
-    for p in primes[: np.searchsorted(primes, math.isqrt(n), side="right")].tolist():
+    for p in primes:
         if p * p > n:
             break
         while n % p == 0:
@@ -599,7 +606,7 @@ def _sieve_count(
     head: int | None,
     forward: tuple[tuple[int, int], ...],
     mirror: int | None,
-) -> np.ndarray:
+) -> list[int]:
     """Per mark, the n in [2, mark] with Omega(n) <= head (None: n is prime) and
     Omega(n + off) <= bound for each forward (off, bound); with a mirror bound, the
     one mark N counts the n in [2, N - 2] that also have Omega(N - n) <= mirror.
@@ -612,12 +619,14 @@ def _sieve_count(
     reversed buffer, which read forwards from the pad on is Omega(N - n) for the
     class's n, and counts both the n and their partners from the pair.  The
     heads n <= M, and the N - n with n <= M, are checked on their own by trial
-    division: a position of theirs may be g itself.  Each process that sieves
-    builds one _Plan and one set of buffers, sized by the longest unit, so
-    memory is O(segment) per worker for every kind and a unit allocates nothing
-    of that size.  A forking caller builds neither: it keeps only the prime
-    table, which the small heads' check reads.  Unit counts are added as
-    integers, so the result does not depend on the worker count.
+    division, since a position of theirs may be g itself: by the process that
+    takes the first unit (lo = M), which they sit just below, or by the caller
+    when a count has no units.  Each process that sieves builds its base primes,
+    one _Plan and one set of buffers, sized by the longest unit, so memory is
+    O(segment) per worker for every kind and a unit allocates nothing of that
+    size.  A forking caller builds none of them and runs no numpy: it forks,
+    then adds the workers' sums as ints, so the result does not depend on the
+    worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
@@ -625,8 +634,7 @@ def _sieve_count(
     head = 1 if head is None else head
     modulus, heads, needed, words = _classes(head, forward, mirror, size)
     top = size + pad + 2 * modulus  # past every n a block sieves
-    base_primes = primes_up_to(math.isqrt(top - 1))
-    marks = np.asarray(marks, dtype=np.int64)
+    root = math.isqrt(top - 1)  # the base primes cover it
     padw = (modulus - 1 + pad) // modulus  # the largest index shift s of an offset
     units = [(lo, min(words, (limit - lo - 1) // modulus + 1))
              for lo in range(modulus, limit, modulus * words)]
@@ -635,11 +643,23 @@ def _sieve_count(
     def residue(n: int) -> int:
         return (n - 1) % modulus + 1
 
+    def small_heads() -> list[int]:
+        """Per mark, the hits among the heads with a position at or below M."""
+        primes = primes_up_to(root)
+        small = set(range(2, min(modulus, size if mirror is None else size - 2) + 1))
+        if mirror is not None:
+            small |= set(range(max(size - modulus, 2), size - 1))
+        hits = [n for n in small if _trial_omega(n, primes) <= head
+                and all(_trial_omega(n + off, primes) <= bound for off, bound in forward)
+                and (mirror is None or _trial_omega(size - n, primes) <= mirror)]
+        return [sum(n <= mark for n in hits) for mark in marks]
+
     def make_work() -> _Work:
         """work(unit) over one plan and one set of buffers that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        plan = _Plan(top, base_primes, modulus, width)
+        plan = _Plan(top, primes_up_to(root), modulus, width)
+        ends = np.array(marks, dtype=np.int64)
         # Omega(n) per sieved class, and Omega(N - n) per class of n, from the pad on
         lower = dict(zip(needed, np.empty((len(needed), width), dtype=np.uint8)))
         upper = {} if mirror is None else dict(zip(
@@ -670,44 +690,39 @@ def _sieve_count(
             own = [[(read(lower, c, 0), head)] + [(read(lower, c, off), bound) for off, bound in forward]
                    for c in heads]
             if mirror is None:
-                total = np.zeros(len(marks), dtype=np.int64)
-                inside = np.any((marks > lo) & (marks < lo + modulus * span))
+                total = np.zeros(len(ends), dtype=np.int64)
+                inside = np.any((ends > lo) & (ends < lo + modulus * span))
                 for c, reads in zip(heads, own):
                     mask = hits(c, reads)
                     if inside:  # a mark inside the unit
                         found = lo + c + modulus * np.flatnonzero(mask)
-                        total += np.searchsorted(found, marks, side="right")
+                        total += np.searchsorted(found, ends, side="right")
                     else:
-                        total += np.where(marks > lo, np.count_nonzero(mask), 0)
-                return total
-            count = sum(np.count_nonzero(hits(c, reads + [(read(upper, c, 0, padw), mirror)]))
-                        for c, reads in zip(heads, own))
-            # the partners N - n of the n in class c: their offsets N - n + off
-            # are N - (n - off)
-            for c in [residue(size - h) for h in heads]:
-                mask = hits(c, [(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
-                            + [(read(upper, c, -off, padw), bound) for off, bound in forward])
-                if len(mask) and 2 * (lo + c + modulus * (len(mask) - 1)) == size:
-                    mask[-1] = False  # n = N/2 is its own partner: counted in the lower half only
-                count += np.count_nonzero(mask)
-            return np.array([count])
+                        total += np.where(ends > lo, np.count_nonzero(mask), 0)
+            else:
+                count = sum(np.count_nonzero(hits(c, reads + [(read(upper, c, 0, padw), mirror)]))
+                            for c, reads in zip(heads, own))
+                # the partners N - n of the n in class c: their offsets N - n + off
+                # are N - (n - off)
+                for c in [residue(size - h) for h in heads]:
+                    mask = hits(c, [(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
+                                + [(read(upper, c, -off, padw), bound) for off, bound in forward])
+                    if len(mask) and 2 * (lo + c + modulus * (len(mask) - 1)) == size:
+                        mask[-1] = False  # n = N/2 is its own partner: counted in the lower half only
+                    count += np.count_nonzero(mask)
+                total = np.array([count], dtype=np.int64)
+            if lo == modulus:  # the first unit's process also counts the heads below it
+                total += small_heads()
+            return total
 
         return work
 
+    if not units:
+        return small_heads()
     workers = min(thread_count(), len(units), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
-        counts = _forked_sum(make_work, units, workers, len(marks))
-    else:
-        counts = _unit_sum(make_work, units, len(marks))
-    # the heads with a position at or below M; base_primes covers sqrt(top - 1)
-    small = set(range(2, min(modulus, size if mirror is None else size - 2) + 1))
-    if mirror is not None:
-        small |= set(range(max(size - modulus, 2), size - 1))
-    hits = sorted(n for n in small if _trial_omega(n, base_primes) <= head
-                  and all(_trial_omega(n + off, base_primes) <= bound for off, bound in forward)
-                  and (mirror is None or _trial_omega(size - n, base_primes) <= mirror))
-    # int64 throughout: adding a bool array would allocate a 128 KiB casting buffer
-    return counts + np.searchsorted(np.array(hits, dtype=np.int64), marks, side="right")
+        return _forked_sum(make_work, units, workers, len(marks))
+    return _unit_sum(make_work, units, len(marks)).tolist()
 
 
 # ---------------------------------------------------------------------------

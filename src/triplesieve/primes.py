@@ -1,9 +1,14 @@
-"""Prime table used by the Euler products and the factor-counting sieve."""
+"""Prime table used by the Euler products, C(N) and the factor-counting sieve.
+
+The table is a tuple of ints from a bytearray sieve, so this module imports no
+numpy: the Euler products and C(N) run in scalar math on it, and a forked
+count's caller, whose peak is the count's, faults no numpy code in for them.
+Each process that sieves makes its own int64 copy of the primes it needs.
+"""
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from itertools import compress
 
 from .errors import CapacityError
 
@@ -11,19 +16,16 @@ _SIEVE_CAP = 10**6  # covers sqrt of C(N)'s 1e12 and of the sieve's 1e10 + 6
 
 
 @lru_cache(maxsize=8)
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array, by an Eratosthenes sieve of the odd numbers."""
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes <= n, ascending, by an Eratosthenes sieve of the odd numbers."""
     if n < 2:
-        return np.empty(0, dtype=np.int64)
+        return ()
     if n > _SIEVE_CAP:
         raise CapacityError(f"prime table limited to {_SIEVE_CAP}, got {n}")
-    mask = np.ones((n + 1) // 2, dtype=bool)  # mask[i] stands for 2i + 1
+    odd = bytearray([1]) * ((n + 1) // 2)  # odd[i] stands for 2i + 1
     for i in range(1, (math.isqrt(n) + 1) // 2):
-        if mask[i]:
+        if odd[i]:
             p = 2 * i + 1
-            mask[p * p // 2 :: p] = False  # the odd multiples of p from p^2
-    primes = np.flatnonzero(mask)
-    primes *= 2
-    primes += 1
-    primes[0] = 2  # the slot of 1, left set, holds the even prime
-    return primes.astype(np.int64, copy=False)  # intp: no copy on 64-bit
+            multiples = range(p * p // 2, len(odd), p)  # the odd multiples of p from p^2
+            odd[multiples.start :: p] = bytes(len(multiples))
+    return (2, *compress(range(3, n + 1, 2), odd[1:]))  # the slot of 1 gives way to 2

@@ -614,6 +614,19 @@ def test_import_loads_neither_numpy_nor_a_submodule():
     assert _loaded_after("import triplesieve") == {"triplesieve"}
 
 
+def test_the_euler_products_and_CN_load_no_numpy():
+    # scalar math over a tuple prime table: a forked count's caller runs its
+    # predictor without faulting numpy code in
+    code = (
+        "import sys\n"
+        "from triplesieve.constants import constant_C2, constant_C3, singular_series_CN\n"
+        "constant_C2(), constant_C3(), singular_series_CN(999999000)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    done = _run_module(Path(triplesieve.__file__).parent.parent, "-c", code)
+    assert done.returncode == 0, done.stderr
+
+
 def _imported_by(*argv):
     """Every module a real `python *argv` process imported, such as the CLI's.  The
     CLI leaves by os._exit, so they are read from its -X importtime lines on

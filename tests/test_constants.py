@@ -43,13 +43,13 @@ def _full_width_primes(n):
 @pytest.mark.parametrize("n", [100, 1000, 10**4, 10**5, 10**5 + 3, 4 * 10**5])
 def test_prime_table_matches_a_full_width_sieve(n):
     table = primes_up_to(n)
-    assert table.dtype == np.int64
+    assert type(table) is tuple and all(type(p) is int for p in table)
     assert np.array_equal(table, _full_width_primes(n))
 
 
 def test_small_prime_tables_match_trial_division():
     for n in range(-1, 80):
-        assert primes_up_to(n).tolist() == oracles.primes_below(n), n
+        assert list(primes_up_to(n)) == oracles.primes_below(n), n
 
 
 def test_prime_table_capacity():
@@ -80,7 +80,7 @@ def test_partial_products_decrease():
 
 
 def test_every_product_factor_in_unit_interval():
-    p = primes_up_to(10_000).astype(float)
+    p = np.array(primes_up_to(10_000), dtype=float)
     triple = 1 - (3 * p[p > 3] - 1) / (p[p > 3] - 1) ** 3
     twin = 1 - 1 / (p[p > 2] - 1) ** 2
     for factors in (triple, twin):
@@ -160,6 +160,19 @@ def test_CN_with_large_prime_divisor():
     p = 999_983
     expected = (p - 1) / (p - 2) * singular_series_CN(4)
     assert singular_series_CN(2 * p) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("N, divisors", [
+    (2 * 99991 * 1000003, (99991, 1000003)),
+    (2 * 3**2 * 5 * 999999937, (3, 5, 999999937)),
+    (4 * 7 * 1000033, (7, 1000033)),
+])
+def test_CN_with_a_prime_cofactor_above_the_table(N, divisors):
+    # trial division stops once q^2 passes the cofactor left, here a prime above
+    # 10^6, which no prime table holds
+    assert all(oracles.omega_trial(q) == 1 for q in divisors)
+    expected = math.prod((q - 1) / (q - 2) for q in divisors) * singular_series_CN(4)
+    assert singular_series_CN(N) == pytest.approx(expected, rel=1e-12)
 
 
 def test_CN_domain_and_capacity():

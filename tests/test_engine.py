@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import os
@@ -531,6 +532,27 @@ def test_forks_never_exceed_the_cpu_count(monkeypatch, forks):
     assert len(forks) == 2
 
 
+@contextlib.contextmanager
+def _calls(monkeypatch, *names):
+    """Every call of the named engine functions and classes, made in this process
+    or in a forked worker, as (name, pid) pairs: each call writes its line to a
+    pipe, read into the list yielded once the block ends."""
+    read, write = os.pipe()
+    for name in names:
+        def recorded(*args, _name=name, _original=getattr(engine, name), **kwargs):
+            os.write(write, f"{_name} {os.getpid()}\n".encode())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, recorded)
+    calls = []
+    try:
+        yield calls
+    finally:
+        os.close(write)
+        with open(read, "rb") as pipe:
+            calls += [(name, int(pid)) for name, pid in map(str.split, pipe.read().decode().splitlines())]
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
     # the caller only forks and adds: every plan is built and every block is
@@ -539,34 +561,47 @@ def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
     serial = _every_kind(200_000)
-    caller, kernel = os.getpid(), engine._omega_block
-    read, write = os.pipe()
-
-    # each process that builds a plan or sieves a block writes its pid to the pipe
-    class RecordedPlan(engine._Plan):
-        def __init__(self, *args):
-            os.write(write, f"plan {os.getpid()}\n".encode())
-            super().__init__(*args)
-
-    def recorded(*args, **kwargs):
-        os.write(write, f"block {os.getpid()}\n".encode())
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_Plan", RecordedPlan)
-    monkeypatch.setattr(engine, "_omega_block", recorded)
+    caller = os.getpid()
     monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
-    try:
+    with _calls(monkeypatch, "_Plan", "_omega_block") as calls:
         assert _every_kind(200_000) == serial
-    finally:
-        os.close(write)
-        with open(read, "rb") as pipe:
-            lines = [line.split() for line in pipe.read().decode().splitlines()]
-    planners = [int(pid) for what, pid in lines if what == "plan"]
-    sievers = {int(pid) for what, pid in lines if what == "block"}
+    planners = [pid for name, pid in calls if name == "_Plan"]
+    sievers = {pid for name, pid in calls if name == "_omega_block"}
     assert sievers and caller not in sievers
     # six counts of at least 4 units each: every one forks all its workers
     assert len(planners) == len(set(planners)) == 6 * workers and caller not in planners
     assert set(planners) == sievers
+    _no_child_left()
+
+
+# a bound on a forking caller's tracemalloc peak over each count below, in
+# bytes.  Those peaks read 19.1-19.9 kB (Python 3.11, numpy 2.4), most of it the
+# two pipes' readers; the same counts sieved in process peak at 150-167 kB
+_FORKING_CALLER_PEAK = 32 * 1024
+
+
+@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 3)), ("pi_1r", (2,)),
+                                          ("D_1r", (2,)), ("D_sr", (2, 3))])
+def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
+    # the workers build the prime table and the plan and check the small heads;
+    # the caller forks two of them, adds their sums as ints and runs the predictor
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)  # at least 4 units per count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    serial = ratio_scan(kind, params, [200_000])  # warms the predictor's caches
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
+    caller = os.getpid()
+    with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan") as calls:
+        tracemalloc.start()
+        try:
+            forked = ratio_scan(kind, params, [200_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert repr(forked) == repr(serial) and len(forks) == 2
+    assert {"primes_up_to", "_Plan"} <= {name for name, _ in calls}
+    assert caller not in {pid for _, pid in calls}, calls
+    assert peak < _FORKING_CALLER_PEAK, peak
     _no_child_left()
 
 
