@@ -9,13 +9,14 @@ where M(c, s) counts the aperiodic necklaces of s beads in c colours (by the
 cyclotomic identity 1 - cx = prod_s (1 - x^s)^M(c,s)).  That is the prime-zeta
 tail exp(-sum_k (c^k - c)/k P_Q(k)) of Cohen (1998) and Moree (2000) regrouped
 by s = mk.  ``tail_bound`` is a proven bound on |log(true / value)|.  The
-products are scalar math over the prime table's tuple: 167 primes and the five
+products are scalar math over the prime table: 167 primes and the five
 exponents s = 2 .. 6 are too few for arrays to pay; math's log1p and ** leave
 numpy's vector-math kernels (~0.6 MB) out of a forked count's caller, whose
 peak is the count's; and C3 comes out correctly rounded, where numpy's SIMD
 kernels left it an ulp low.  C(N) rescales C2/2 by the odd prime divisors of N,
-found by trial division that stops once q^2 exceeds the cofactor left.  So C2,
-C3 and C(N) load no numpy.  The remaining constants
+found by trial division by 3 and the 6k -+ 1 that stops once q^2 exceeds the
+cofactor left, so it keeps no table sized by N.  So C2, C3 and C(N) load no
+numpy.  The remaining constants
 aggregate quadrature results: C0 sums the chain densities c_k, and the E/L
 coefficients evaluate the two role-reversal error displays with the Buchstab
 factor replaced by its tail bound, 0.5617 for E and 0.5644 for L.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import chain, count
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError
@@ -131,7 +133,8 @@ def singular_series_CN(N: int) -> float:
         raise CapacityError(f"N capped at {MAX_FACTORABLE_N} for trial division")
     odd = N // (N & -N)  # N without its factors 2
     factors = []
-    for q in primes_up_to(math.isqrt(odd))[1:]:
+    # 3, then every q = 6k -+ 1 from 5: a composite q divides nothing, its primes being gone
+    for q in chain((3,), chain.from_iterable(zip(count(5, 6), count(7, 6)))):
         if q * q > odd:
             break
         if odd % q == 0:

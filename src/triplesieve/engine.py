@@ -14,16 +14,17 @@ independent work units shared out over forked worker processes (the kernel's
 many short NumPy calls hold the GIL, so threads barely overlap); each worker
 sends back an integer sum, so results do not depend on the worker count.
 TRIPLESIEVE_THREADS sizes the workers.  With two or more, the calling process
-only coordinates: it forks every worker and adds their sums as Python ints, and
-sieves nothing, so its own pages (numpy and the interpreter's code) never sit in
-one process with a set of segment buffers.  With one worker, or where os.fork is
-missing, a count runs serially in the calling process.  Every process that
-sieves builds its count's base primes, prime powers and scatter plan once
-(_Plan) and sieves every segment it takes in one set of buffers sized by the
-count's largest segment, so a segment allocates nothing of its own size: each
-worker faults its buffers in once, not once per segment.  The process that takes
-the first unit also checks the few heads below it by trial division.  A forking
-caller builds none of them, not even the prime table, and runs no numpy.
+only coordinates: it builds the count's prime table (pure Python, 8 bytes a
+prime), forks every worker, which inherits it, and adds their sums as Python
+ints.  It sieves nothing, so its own pages (numpy and the interpreter's code)
+never sit in one process with a set of segment buffers.  With one worker, or
+where os.fork is missing, a count runs serially in the calling process.  Every
+process that sieves builds its count's int64 base primes, prime powers and
+scatter plan once (_Plan) and sieves every segment it takes in one set of
+buffers sized by the count's largest segment, so a segment allocates nothing of
+its own size: each worker faults its buffers in once, not once per segment.  The
+process that takes the first unit also checks the few heads below it by trial
+division.  A forking caller builds none of them and runs no numpy.
 
 All five counting kinds are rows of one table, KINDS, and run on one streaming
 kernel.  A count reduces to masks over a segment's Omega values: an integer is
@@ -60,8 +61,8 @@ them until a public name is used.  A forked count's peak RSS is its caller's:
 os.wait4 reports the largest process of the tree, and a worker faults in only
 the file-backed pages it runs on.  So every page the caller touches past its
 imports counts.  It loads the modules a count needs and no more, and past them
-runs pure Python: the unit list, the fork, the int sums and the predictor, whose
-constants are scalar math over the tuple prime table.  The failure paths import
+runs pure Python: the prime table, the unit list, the fork, the int sums and the
+predictor, whose constants are scalar math.  The failure paths import
 their own: traceback in a worker that raises, and signal in the caller's kill of
 the workers left.
 """
@@ -621,12 +622,12 @@ def _sieve_count(
     heads n <= M, and the N - n with n <= M, are checked on their own by trial
     division, since a position of theirs may be g itself: by the process that
     takes the first unit (lo = M), which they sit just below, or by the caller
-    when a count has no units.  Each process that sieves builds its base primes,
-    one _Plan and one set of buffers, sized by the longest unit, so memory is
-    O(segment) per worker for every kind and a unit allocates nothing of that
-    size.  A forking caller builds none of them and runs no numpy: it forks,
-    then adds the workers' sums as ints, so the result does not depend on the
-    worker count.
+    when a count has no units.  Each process that sieves builds its int64 base
+    primes, one _Plan and one set of buffers, sized by the longest unit, so
+    memory is O(segment) per worker for every kind and a unit allocates nothing
+    of that size.  A forking caller builds none of them and runs no numpy: it
+    builds the prime table, which its workers inherit, forks, then adds the
+    workers' sums as ints, so the result does not depend on the worker count.
     """
     size = int(marks[-1])
     limit = size if mirror is None else size // 2
@@ -634,7 +635,7 @@ def _sieve_count(
     head = 1 if head is None else head
     modulus, heads, needed, words = _classes(head, forward, mirror, size)
     top = size + pad + 2 * modulus  # past every n a block sieves
-    root = math.isqrt(top - 1)  # the base primes cover it
+    base_primes = primes_up_to(math.isqrt(top - 1))  # no numpy: built before any fork
     padw = (modulus - 1 + pad) // modulus  # the largest index shift s of an offset
     units = [(lo, min(words, (limit - lo - 1) // modulus + 1))
              for lo in range(modulus, limit, modulus * words)]
@@ -645,20 +646,19 @@ def _sieve_count(
 
     def small_heads() -> list[int]:
         """Per mark, the hits among the heads with a position at or below M."""
-        primes = primes_up_to(root)
         small = set(range(2, min(modulus, size if mirror is None else size - 2) + 1))
         if mirror is not None:
             small |= set(range(max(size - modulus, 2), size - 1))
-        hits = [n for n in small if _trial_omega(n, primes) <= head
-                and all(_trial_omega(n + off, primes) <= bound for off, bound in forward)
-                and (mirror is None or _trial_omega(size - n, primes) <= mirror)]
+        hits = [n for n in small if _trial_omega(n, base_primes) <= head
+                and all(_trial_omega(n + off, base_primes) <= bound for off, bound in forward)
+                and (mirror is None or _trial_omega(size - n, base_primes) <= mirror)]
         return [sum(n <= mark for n in hits) for mark in marks]
 
     def make_work() -> _Work:
         """work(unit) over one plan and one set of buffers that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        plan = _Plan(top, primes_up_to(root), modulus, width)
+        plan = _Plan(top, base_primes, modulus, width)
         ends = np.array(marks, dtype=np.int64)
         # Omega(n) per sieved class, and Omega(N - n) per class of n, from the pad on
         lower = dict(zip(needed, np.empty((len(needed), width), dtype=np.uint8)))

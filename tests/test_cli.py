@@ -615,8 +615,8 @@ def test_import_loads_neither_numpy_nor_a_submodule():
 
 
 def test_the_euler_products_and_CN_load_no_numpy():
-    # scalar math over a tuple prime table: a forked count's caller runs its
-    # predictor without faulting numpy code in
+    # scalar math over a memoryview prime table and a trial-division wheel: a
+    # forked count's caller runs its predictor without faulting numpy code in
     code = (
         "import sys\n"
         "from triplesieve.constants import constant_C2, constant_C3, singular_series_CN\n"

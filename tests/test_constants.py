@@ -43,7 +43,7 @@ def _full_width_primes(n):
 @pytest.mark.parametrize("n", [100, 1000, 10**4, 10**5, 10**5 + 3, 4 * 10**5])
 def test_prime_table_matches_a_full_width_sieve(n):
     table = primes_up_to(n)
-    assert type(table) is tuple and all(type(p) is int for p in table)
+    assert table.format == "q" and table.readonly
     assert np.array_equal(table, _full_width_primes(n))
 
 
@@ -53,7 +53,7 @@ def test_small_prime_tables_match_trial_division():
 
 
 def test_prime_table_capacity():
-    # 10^6 covers the factor sieve's sqrt(1e10 + 6) and C(N)'s sqrt(1e12)
+    # 10^6 covers the factor sieve's sqrt(1e10 + 6)
     assert primes_up_to(10**6)[-1] == 999_983
     with pytest.raises(CapacityError):
         primes_up_to(10**6 + 1)
@@ -169,10 +169,21 @@ def test_CN_with_large_prime_divisor():
 ])
 def test_CN_with_a_prime_cofactor_above_the_table(N, divisors):
     # trial division stops once q^2 passes the cofactor left, here a prime above
-    # 10^6, which no prime table holds
+    # 10^6, past any prime table
     assert all(oracles.omega_trial(q) == 1 for q in divisors)
     expected = math.prod((q - 1) / (q - 2) for q in divisors) * singular_series_CN(4)
     assert singular_series_CN(N) == pytest.approx(expected, rel=1e-12)
+
+
+def test_CN_keeps_no_prime_table():
+    # N = 2p with p a prime near 5e11: trial division runs to sqrt(p) ~ 7e5 by
+    # 3 and the 6k -+ 1, and no table sized by N is built or cached
+    p = 499_999_999_979
+    constant_C2()
+    primes_up_to.cache_clear()
+    assert singular_series_CN(2 * p) == pytest.approx((p - 1) / (p - 2) * singular_series_CN(4),
+                                                      rel=1e-12)
+    assert primes_up_to.cache_info().misses == 0
 
 
 def test_CN_domain_and_capacity():

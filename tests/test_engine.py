@@ -575,21 +575,24 @@ def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
 
 
 # a bound on a forking caller's tracemalloc peak over each count below, in
-# bytes.  Those peaks read 19.1-19.9 kB (Python 3.11, numpy 2.4), most of it the
-# two pipes' readers; the same counts sieved in process peak at 150-167 kB
+# bytes.  Those peaks read 20.5-21.2 kB (Python 3.11, numpy 2.4), most of it
+# the two pipes' readers; a caller that also builds one plan and set of buffers
+# peaks at 106-124 kB, and the same counts sieved in process at 150-167 kB
 _FORKING_CALLER_PEAK = 32 * 1024
 
 
 @pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 3)), ("pi_1r", (2,)),
                                           ("D_1r", (2,)), ("D_sr", (2, 3))])
 def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
-    # the workers build the prime table and the plan and check the small heads;
-    # the caller forks two of them, adds their sums as ints and runs the predictor
+    # the caller builds the prime table, forks two workers, which inherit it,
+    # adds their sums as ints and runs the predictor; the workers build the
+    # plans and check the small heads
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)  # at least 4 units per count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
     serial = ratio_scan(kind, params, [200_000])  # warms the predictor's caches
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
+    primes_up_to.cache_clear()  # the caller's table is built inside the peak's window
     caller = os.getpid()
     with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan") as calls:
         tracemalloc.start()
@@ -599,8 +602,9 @@ def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
         finally:
             tracemalloc.stop()
     assert repr(forked) == repr(serial) and len(forks) == 2
-    assert {"primes_up_to", "_Plan"} <= {name for name, _ in calls}
-    assert caller not in {pid for _, pid in calls}, calls
+    assert [pid for name, pid in calls if name == "primes_up_to"] == [caller]
+    sievers = {pid for name, pid in calls if name != "primes_up_to"}
+    assert len(sievers) == 2 and caller not in sievers, calls
     assert peak < _FORKING_CALLER_PEAK, peak
     _no_child_left()
 
