@@ -26,9 +26,9 @@ its own size: each worker faults its buffers in once, not once per segment.  The
 process that takes the first unit also checks the few heads below it by trial
 division.  A forking caller builds none of them and runs no numpy.
 
-All five counting kinds are rows of one table, KINDS, and run on one streaming
-kernel.  A count reduces to masks over a segment's Omega values: an integer is
-prime exactly when Omega == 1, so the triple count of primes p <= x with
+All five counting kinds are rows of data in KINDS, bounds and main term alike,
+and run on one streaming kernel.  A count reduces to masks over Omega values:
+n is prime exactly when Omega == 1, so the triple count of primes p <= x with
 Omega(p+2) <= a and Omega(p+6) <= b is three aligned reads of one segment.
 Each count sieves only the residue classes mod M, for a squarefree M in
 {1, 2, 6, 30} dividing the wheel period, that its bounds admit.  A position
@@ -56,7 +56,7 @@ k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power arrays
 
 This module imports numpy, but not the quadrature, the sieve curves or the
 pipeline; the Euler products of constants load with the first predictor that
-uses one (D_1ab's uses none), and ``import triplesieve`` itself loads none of
+names one (D_1ab's names none), and ``import triplesieve`` itself loads none of
 them until a public name is used.  A forked count's peak RSS is its caller's:
 os.wait4 reports the largest process of the tree, and a worker faults in only
 the file-backed pages it runs on.  So every page the caller touches past its
@@ -358,22 +358,10 @@ def sieve_omega(lo: int, hi: int) -> OmegaSegment:
 # ---------------------------------------------------------------------------
 
 
-def _loglog_power(x: int, exponent: int) -> float:
-    return math.log(math.log(x)) ** max(exponent, 0)
-
-
-def _constants():
-    """The module of the Euler products and C(N), loaded by the first predictor
-    that uses it: a D_1ab count never does."""
-    from . import constants
-
-    return constants
-
-
 class CountKind(NamedTuple):
-    """What one counting kind counts, and its main-term predictor.
+    """What one counting kind counts, and its main term C x / log^h x (log log x)^e.
 
-    An integer n >= 2 is counted when Omega(n) <= head (None: n is prime) and
+    An integer n >= 2 is counted when Omega(n) <= head (none: n is prime) and
     Omega(n + offset) <= bound for each forward (offset, bound); bounds name
     parameters.  A forward kind counts n <= x.  A mirrored kind counts
     n <= N - 2 that also have Omega(N - n) <= mirror, for even N >= min_size.
@@ -384,54 +372,55 @@ class CountKind(NamedTuple):
     head: str | None
     forward: tuple[tuple[int, str], ...]
     mirror: str | None
-    predict: Callable[[int, dict], float]  # main term, for sizes >= 5
+    constant: str | None  # C: "C3", "C2", "CN" for C(N), or none for 1
+    log_power: int  # h
+    loglog: tuple[str, ...]  # e: the sum of these parameters less shift, floored at 0
+    shift: int
 
 
 KINDS = {
-    "pi_1ab": CountKind(
-        ("a", "b"), 0, None, ((2, "a"), (6, "b")), None,
-        lambda x, p: (
-            _constants().constant_C3().value * x / math.log(x) ** 3
-            * _loglog_power(x, p["a"] - 2)
-        ),
-    ),
-    "D_1ab": CountKind(
-        ("a", "b"), 8, None, ((6, "b"),), "a",
-        lambda N, p: N / math.log(N) ** 3 * _loglog_power(N, p["a"] - 2),
-    ),
-    "pi_1r": CountKind(
-        ("r",), 0, None, ((2, "r"),), None,
-        lambda x, p: (
-            _constants().constant_C2().value * x / math.log(x) ** 2
-            * _loglog_power(x, p["r"] - 2)
-        ),
-    ),
-    "D_1r": CountKind(
-        ("r",), 4, None, (), "r",
-        lambda N, p: (
-            _constants().singular_series_CN(N) * N / math.log(N) ** 2
-            * _loglog_power(N, p["r"] - 2)
-        ),
-    ),
-    "D_sr": CountKind(
-        ("s", "r"), 4, "s", (), "r",
-        lambda N, p: (
-            _constants().singular_series_CN(N) * N / math.log(N) ** 2
-            * _loglog_power(N, p["s"] + p["r"] - 3)
-        ),
-    ),
+    "pi_1ab": CountKind(("a", "b"), 0, None, ((2, "a"), (6, "b")), None, "C3", 3, ("a",), 2),
+    "D_1ab": CountKind(("a", "b"), 8, None, ((6, "b"),), "a", None, 3, ("a",), 2),
+    "pi_1r": CountKind(("r",), 0, None, ((2, "r"),), None, "C2", 2, ("r",), 2),
+    "D_1r": CountKind(("r",), 4, None, (), "r", "CN", 2, ("r",), 2),
+    "D_sr": CountKind(("s", "r"), 4, "s", (), "r", "CN", 2, ("s", "r"), 3),
 }
 
 
+def _predicted(spec: CountKind, size: int, params: dict[str, int]) -> float:
+    """The kind's main term at size, 0.0 below 5.  The constants module loads
+    with the first predictor that names a constant: a D_1ab count never does."""
+    if size < 5:
+        return 0.0
+    constant = 1.0
+    if spec.constant:
+        from . import constants
+
+        constant = (constants.singular_series_CN(size) if spec.constant == "CN"
+                    else getattr(constants, f"constant_{spec.constant}")().value)
+    exponent = max(sum(params[name] for name in spec.loglog) - spec.shift, 0)
+    return constant * size / math.log(size) ** spec.log_power * math.log(math.log(size)) ** exponent
+
+
+def _integer(value, name: str) -> int:
+    """value as the int it equals (1e6 passes); DomainError for 1000.7, inf or nan."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
-    """The kind's named parameters from positional values, each in [1, 33]:
-    Omega(n) <= 33 for every n < 2^34, so a larger bound counts the same."""
+    """The kind's named parameters from positional values, each an integer in
+    [1, 33]: Omega(n) <= 33 for every n < 2^34, so a larger bound counts the same."""
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     names = KINDS[kind].params
     if len(values) != len(names):
         raise DomainError(f"{kind} takes parameters {' '.join(names)}")
-    params = {name: int(value) for name, value in zip(names, values)}
+    params = {name: _integer(value, name) for name, value in zip(names, values)}
     for name, value in params.items():
         if value < 1:
             raise DomainError(f"{name} must be >= 1, got {value}")
@@ -443,18 +432,6 @@ def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # The streaming kernel
 # ---------------------------------------------------------------------------
-
-
-def _hits(mask: np.ndarray, tmp: np.ndarray,
-          reads: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
-    """mask[i] = values[i] <= bound for every (values, bound) in reads, over
-    len(mask) indices, written in place with tmp as scratch."""
-    span = len(mask)
-    (values, bound), *rest = reads
-    np.less_equal(values[:span], bound, out=mask)
-    for values, bound in rest:
-        mask &= np.less_equal(values[:span], bound, out=tmp)
-    return mask
 
 
 _Work = Callable[[tuple[int, int]], np.ndarray]  # a unit's counts, as int64
@@ -604,11 +581,11 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
 
 def _sieve_count(
     marks: Sequence[int],
-    head: int | None,
+    head: int,
     forward: tuple[tuple[int, int], ...],
     mirror: int | None,
 ) -> list[int]:
-    """Per mark, the n in [2, mark] with Omega(n) <= head (None: n is prime) and
+    """Per mark, the n in [2, mark] with Omega(n) <= head and
     Omega(n + off) <= bound for each forward (off, bound); with a mirror bound, the
     one mark N counts the n in [2, N - 2] that also have Omega(N - n) <= mirror.
 
@@ -629,10 +606,9 @@ def _sieve_count(
     builds the prime table, which its workers inherit, forks, then adds the
     workers' sums as ints, so the result does not depend on the worker count.
     """
-    size = int(marks[-1])
+    size = marks[-1]
     limit = size if mirror is None else size // 2
     pad = max((off for off, _ in forward), default=0)
-    head = 1 if head is None else head
     modulus, heads, needed, words = _classes(head, forward, mirror, size)
     top = size + pad + 2 * modulus  # past every n a block sieves
     base_primes = primes_up_to(math.isqrt(top - 1))  # no numpy: built before any fork
@@ -678,9 +654,14 @@ def _sieve_count(
             n = span + padw
 
             def hits(c: int, reads: list[tuple[np.ndarray, int]]) -> np.ndarray:
-                """The hits among class c's n <= limit."""
+                """Class c's n <= limit with values <= bound for every (values, bound) in reads."""
                 k = min(span, max(0, (limit - lo - c) // modulus + 1))
-                return _hits(masks[:k], masks[k : 2 * k], reads)
+                mask, tmp = masks[:k], masks[k : 2 * k]
+                (values, bound), *rest = reads
+                np.less_equal(values[:k], bound, out=mask)
+                for values, bound in rest:
+                    mask &= np.less_equal(values[:k], bound, out=tmp)
+                return mask
 
             for c, values in lower.items():
                 _omega_block(lo + c, lo + c + modulus * (n - 1) + 1, plan, out=values[:n])
@@ -691,14 +672,9 @@ def _sieve_count(
                    for c in heads]
             if mirror is None:
                 total = np.zeros(len(ends), dtype=np.int64)
-                inside = np.any((ends > lo) & (ends < lo + modulus * span))
                 for c, reads in zip(heads, own):
-                    mask = hits(c, reads)
-                    if inside:  # a mark inside the unit
-                        found = lo + c + modulus * np.flatnonzero(mask)
-                        total += np.searchsorted(found, ends, side="right")
-                    else:
-                        total += np.where(ends > lo, np.count_nonzero(mask), 0)
+                    found = lo + c + modulus * np.flatnonzero(hits(c, reads))
+                    total += np.searchsorted(found, ends, side="right")
             else:
                 count = sum(np.count_nonzero(hits(c, reads + [(read(upper, c, 0, padw), mirror)]))
                             for c, reads in zip(heads, own))
@@ -730,9 +706,10 @@ def _sieve_count(
 # ---------------------------------------------------------------------------
 
 
-def _results(kind: str, params: Sequence[int], sizes: list[int]) -> list[TripleCountResult]:
+def _results(kind: str, params: Sequence[int], sizes: Sequence[int]) -> list[TripleCountResult]:
     named = kind_params(kind, params)
     spec = KINDS[kind]
+    sizes = [_integer(size, "N" if spec.mirror else "x") for size in sizes]
     for size in sizes:
         if not spec.min_size <= size <= MAX_SIEVE_BOUND or (spec.mirror and size % 2):
             what = "an even N" if spec.mirror else "x"
@@ -741,42 +718,39 @@ def _results(kind: str, params: Sequence[int], sizes: list[int]) -> list[TripleC
             )
     if not sizes:
         return []
-    head = named[spec.head] if spec.head else None
+    head = named[spec.head] if spec.head else 1  # a prime head
     forward = tuple((off, named[name]) for off, name in spec.forward)
     if spec.mirror is None:
         counts = _sieve_count(sizes, head, forward, None)
     else:  # each N pairs different segments
         counts = [_sieve_count([N], head, forward, named[spec.mirror])[0] for N in sizes]
-    return [
-        TripleCountResult(kind, size, named, int(count),
-                          spec.predict(size, named) if size >= 5 else 0.0)
-        for size, count in zip(sizes, counts)
-    ]
+    return [TripleCountResult(kind, size, named, count, _predicted(spec, size, named))
+            for size, count in zip(sizes, counts)]
 
 
 def count_pi_1ab(x: int, a: int, b: int) -> TripleCountResult:
     """Primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b."""
-    return _results("pi_1ab", (a, b), [int(x)])[0]
+    return _results("pi_1ab", (a, b), [x])[0]
 
 
 def count_D_1ab(N: int, a: int, b: int) -> TripleCountResult:
     """Primes p <= N with N - p >= 2, Omega(N-p) <= a, Omega(p+6) <= b."""
-    return _results("D_1ab", (a, b), [int(N)])[0]
+    return _results("D_1ab", (a, b), [N])[0]
 
 
 def count_pi_1r(x: int, r: int) -> TripleCountResult:
     """Primes p <= x with Omega(p+2) <= r."""
-    return _results("pi_1r", (r,), [int(x)])[0]
+    return _results("pi_1r", (r,), [x])[0]
 
 
 def count_D_1r(N: int, r: int) -> TripleCountResult:
     """Primes p <= N with N - p >= 2 and Omega(N-p) <= r."""
-    return _results("D_1r", (r,), [int(N)])[0]
+    return _results("D_1r", (r,), [N])[0]
 
 
 def count_D_sr(N: int, s: int, r: int) -> TripleCountResult:
     """Integers 2 <= n <= N - 2 with Omega(n) <= s and Omega(N-n) <= r."""
-    return _results("D_sr", (s, r), [int(N)])[0]
+    return _results("D_sr", (s, r), [N])[0]
 
 
 def ratio_scan(
@@ -787,7 +761,7 @@ def ratio_scan(
     A forward kind makes one sieve pass for all checkpoints; a mirrored kind
     makes one pass per checkpoint, since each N pairs different segments.
     """
-    marks = [int(c) for c in checkpoints]
+    marks = list(checkpoints)
     if any(c2 <= c1 for c1, c2 in zip(marks, marks[1:])):
         raise DomainError("checkpoints must be strictly ascending")
     if marks and marks[-1] > 10**9:

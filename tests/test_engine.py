@@ -725,6 +725,26 @@ def test_domain_errors():
         count_pi_1r(-1, 1)
 
 
+@pytest.mark.parametrize("value", [1000.7, math.inf, math.nan])
+def test_non_integral_sizes_and_checkpoints_are_domain_errors(value):
+    with pytest.raises(DomainError, match="must be an integer"):
+        count_pi_1r(value, 1)
+    with pytest.raises(DomainError, match="must be an integer"):
+        count_D_sr(value, 1, 1)
+    with pytest.raises(DomainError):  # inf is also past the checkpoint cap
+        ratio_scan("pi_1r", (1,), [100, value])
+    with pytest.raises(DomainError, match="r must be an integer, got 1.5"):
+        count_pi_1r(1000, 1.5)
+    with pytest.raises(DomainError, match="r must be an integer, got 1.5"):
+        ratio_scan("D_sr", (2, 1.5), [100])
+
+
+def test_integral_floats_still_count():
+    assert count_pi_1r(1e6, 1.0).count == 8169  # OEIS A007508
+    assert count_pi_1r(1e6, 1).size == 1_000_000
+    assert [r.count for r in ratio_scan("pi_1r", (1,), [1e3, 1e4])] == [35, 205]
+
+
 # ---------------------------------------------------------------------------
 # ratio scans and predictors
 # ---------------------------------------------------------------------------
@@ -757,29 +777,40 @@ def test_ratio_scan_mirror_kind():
 
 
 def test_predictor_shapes():
-    import math
-
     from triplesieve.constants import constant_C2, constant_C3, singular_series_CN
 
-    x = 100_000
-    llx = math.log(math.log(x))
-    r3 = count_pi_1ab(x, 3, 3)
-    assert r3.predicted == pytest.approx(
-        constant_C3().value * x / math.log(x) ** 3 * llx, rel=1e-12
-    )
-    r1 = count_pi_1ab(x, 1, 1)  # log log exponent floors at zero
-    assert r1.predicted == pytest.approx(
-        constant_C3().value * x / math.log(x) ** 3, rel=1e-12
-    )
-    c = count_pi_1r(x, 2)
-    assert c.predicted == pytest.approx(
-        constant_C2().value * x / math.log(x) ** 2, rel=1e-12
-    )
-    d = count_D_sr(10_000, 2, 3)
-    assert d.predicted == pytest.approx(
-        singular_series_CN(10_000) * 10_000 / math.log(10_000) ** 2 * math.log(math.log(10_000)) ** 2,
-        rel=1e-12,
-    )
+    def order(size, constant, log_power, exponent):
+        return constant * size / math.log(size) ** log_power * math.log(math.log(size)) ** exponent
+
+    x, N = 100_000, 10_000
+    C3, C2, CN = constant_C3().value, constant_C2().value, singular_series_CN(N)
+    cases = [
+        (count_pi_1ab(x, 3, 3), order(x, C3, 3, 1)),
+        (count_pi_1ab(x, 1, 1), order(x, C3, 3, 0)),  # log log exponent floors at zero
+        (count_D_1ab(N, 3, 2), order(N, 1.0, 3, 1)),  # no constant
+        (count_D_1ab(N, 1, 2), order(N, 1.0, 3, 0)),
+        (count_pi_1r(x, 2), order(x, C2, 2, 0)),
+        (count_pi_1r(x, 4), order(x, C2, 2, 2)),
+        (count_D_1r(N, 3), order(N, CN, 2, 1)),
+        (count_D_1r(N, 1), order(N, CN, 2, 0)),
+        (count_D_sr(N, 2, 3), order(N, CN, 2, 2)),  # s + r - 3
+        (count_D_sr(N, 1, 1), order(N, CN, 2, 0)),
+    ]
+    for result, expected in cases:
+        assert result.predicted == pytest.approx(expected, rel=1e-12), result
+    # below 5, log log x is not positive: every kind that admits such a size predicts 0
+    for result in (count_pi_1ab(4, 1, 1), count_pi_1r(4, 2), count_D_1r(4, 1), count_D_sr(4, 2, 2)):
+        assert result.predicted == 0.0 and result.ratio == 0.0
+
+
+def test_predictor_bits():
+    # the exact bits of one prediction per kind: each row must keep its
+    # predictor's order of operations, C x, then / log^h x, then * (log log x)^e
+    assert [float.hex(r.predicted) for r in (
+        count_pi_1ab(100_000, 3, 3), count_D_1ab(10_000, 3, 2), count_pi_1r(100_000, 3),
+        count_D_1r(10_000, 3), count_D_sr(10_000, 2, 3),
+    )] == ["0x1.c9aadbd7874e6p+8", "0x1.c6af267c4b570p+4", "0x1.303f31ec0c19cp+11",
+           "0x1.ccc5401c9b4b0p+7", "0x1.ff87d2944330ep+8"]
 
 
 def test_result_ratio_guard():
