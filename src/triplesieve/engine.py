@@ -16,55 +16,61 @@ sends back an integer sum, so results do not depend on the worker count.
 TRIPLESIEVE_THREADS sizes the workers.  With two or more, the calling process
 only coordinates: it builds the count's prime table (pure Python, 8 bytes a
 prime), forks every worker, which inherits it, and adds their sums as Python
-ints.  It sieves nothing, so its own pages (numpy and the interpreter's code)
-never sit in one process with a set of segment buffers.  With one worker, or
-where os.fork is missing, a count runs serially in the calling process.  Every
-process that sieves builds its count's int64 base primes, prime powers and
-scatter plan once (_Plan) and sieves every segment it takes in one set of
-buffers sized by the count's largest segment, so a segment allocates nothing of
-its own size: each worker faults its buffers in once, not once per segment.  The
-process that takes the first unit also checks the few heads below it by trial
-division.  A forking caller builds none of them and runs no numpy.
+ints.  It sieves nothing, so its own pages never sit in one process with a set
+of segment buffers.  With one worker, or where os.fork is missing, a count runs
+serially in the calling process.  Every process that sieves builds its count's
+kernel once and sieves every segment it takes in one set of buffers sized by
+the count's largest segment, so a segment allocates nothing of its own size:
+each worker faults its buffers in once, not once per segment.  The process that
+takes the first unit also checks the few heads below it by trial division.
 
 All five counting kinds are rows of data in KINDS, bounds and main term alike,
-and run on one streaming kernel.  A count reduces to masks over Omega values:
-n is prime exactly when Omega == 1, so the triple count of primes p <= x with
-Omega(p+2) <= a and Omega(p+6) <= b is three aligned reads of one segment.
-Each count sieves only the residue classes mod M, for a squarefree M in
-{1, 2, 6, 30} dividing the wheel period, that its bounds admit.  A position
-v = n + off (or N - n) in class c holds g = gcd(c, M), and v > g gives
-Omega(v) >= omega(g) + 1, g being squarefree: so a class whose omega(g) reaches
-a position's bound (1 for a prime head) holds no counted n past the small
-ones, whose positions may equal g and are checked by trial division.  A prime
-triple's p, p + 2 and p + 6 then lie in 5 of the 30 classes, and the twin
-primes in 6; a block of step M holds one class, one word per n = c + M i, and
-copies in that class's slice of the wheel.  M and the classes follow from the
-bounds (and N); the modulus of the least cost wins, counting each class block's
-fixed cost as well as its words (_classes).  So the prime-headed counts whose
-bounds exclude little stay odd-only (M = 2), and D_sr, whose head is any n,
-mostly keeps every integer (M = 1), as does sieve_omega.  The mirrored kinds
-(N - p almost-prime) pair each unit below N/2 with its mirror above, class by
-class, so memory stays bounded by the segment size, not by N.  The mirror's
-Omega values are written reversed, so every mask of a pair reads its arrays
-forwards (a negative-stride compare of 2^20 bytes runs ~13x slower).
-SEGMENT_SIZE counts the words of a unit, shared by its k classes.  At 2^19
-words a worker's buffers take 0.5 MiB of Omega arrays, 1 MiB for a mirrored
-count, and the plan's word block of one class, 1 MiB / k.  The scatter's
-entries in the plan take 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10 at
-k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power arrays
-0.07 / 0.21 / 0.59 MiB more.
+and run on one streaming loop with two block kernels, picked by the bounds.  A
+count reduces to masks over aligned reads of a segment: the triple count of
+primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b reads three.  With a
+bound of 2 or more the blocks hold Omega (_OmegaKernel, on a _Plan: int64 base
+primes, prime powers and scatter plan).  When every bound is 1 (pi_1ab 1 1,
+pi_1r 1, D_1ab 1 1, D_1r 1, D_sr 1 1) they hold primality, one byte a number
+(_PrimeKernel): each base prime strikes its multiples by one slice assignment,
+and the reads are ANDed as ints.  Each count sieves only the residue classes
+mod M, for a squarefree M in {1, 2, 6, 30} dividing the wheel period, that its
+bounds admit.  A position v = n + off (or N - n) in class c holds
+g = gcd(c, M), and v > g gives Omega(v) >= omega(g) + 1, g being squarefree: so
+a class whose omega(g) reaches a position's bound (1 for a prime head) holds no
+counted n past the small ones, whose positions may equal g and are checked by
+trial division.  A prime triple's p, p + 2 and p + 6 then lie in 5 of the 30
+classes, and the twin primes in 6; a block of step M holds one class, one
+value per n = c + M i (an Omega block copies in that class's slice of the
+wheel).  M and the classes follow from the bounds (and N); the modulus of the
+least cost wins, counting each class block's fixed cost as well as its words
+(_classes).  So the prime-headed counts whose bounds exclude little stay
+odd-only (M = 2), and D_sr, whose head is any n, mostly keeps every integer
+(M = 1), as does sieve_omega.  The mirrored kinds (N - p almost-prime) pair
+each unit below N/2 with its mirror above, class by class, so memory stays
+bounded by the segment size, not by N.  The mirror's blocks run descending, so
+every mask of a pair reads its blocks forwards (a negative-stride compare of
+2^20 bytes runs ~13x slower).  SEGMENT_SIZE counts the values of a unit, shared
+by its k classes.  At 2^19 an Omega worker's buffers take 0.5 MiB of Omega
+arrays, 1 MiB for a mirrored count, and the plan's word block of one class,
+1 MiB / k.  The scatter's entries in the plan take 0.54 / 1.16 / 1.77 MiB near
+1e8 / 1e9 / 1e10 at k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power
+arrays 0.07 / 0.21 / 0.59 MiB more.  A primality worker's blocks take 0.5 MiB,
+1 MiB for a mirrored count, its fill and zero blocks 1 MiB / k, and a tally's
+ints and copies about three blocks of one class.
 
-This module imports numpy, but not the quadrature, the sieve curves or the
-pipeline; the Euler products of constants load with the first predictor that
-names one (D_1ab's names none), and ``import triplesieve`` itself loads none of
-them until a public name is used.  A forked count's peak RSS is its caller's:
-os.wait4 reports the largest process of the tree, and a worker faults in only
-the file-backed pages it runs on.  So every page the caller touches past its
-imports counts.  It loads the modules a count needs and no more, and past them
-runs pure Python: the prime table, the unit list, the fork, the int sums and the
-predictor, whose constants are scalar math.  The failure paths import
-their own: traceback in a worker that raises, and signal in the caller's kill of
-the workers left.
+This module imports no numpy, nor the quadrature, the sieve curves or the
+pipeline.  An Omega count imports numpy in the caller before its first fork,
+so that every worker shares its pages, or in the one process that sieves; a
+count whose bounds are all 1 never loads it.  The Euler products of constants
+load with the first predictor that names one (D_1ab's names none), and
+``import triplesieve`` itself loads none of them until a public name is used.
+A forked count's peak RSS is its caller's: os.wait4 reports the largest
+process of the tree, and a worker faults in only the file-backed pages it runs
+on.  So every page the caller touches past its imports counts.  It loads the
+modules a count needs and no more, and past them runs pure Python: the prime
+table, the unit list, the fork, the int sums and the predictor, whose constants
+are scalar math.  The failure paths import their own: traceback in a worker
+that raises, and signal in the caller's kill of the workers left.
 """
 
 from __future__ import annotations
@@ -74,9 +80,8 @@ import functools
 import math
 import os
 import warnings
+from itertools import accumulate
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
@@ -170,6 +175,8 @@ def _log_words(p: np.ndarray, k: int) -> np.ndarray:
     """The word the k-th power of each p adds: 1 << 10 minus the step
     round(32 k log p) - round(32 (k - 1) log p), so that p, p^2, .., p^e add
     round(32 e log p) to the log sum in all."""
+    import numpy as np
+
     scaled = np.log(p) * _LOG_SCALE
     step = np.rint(k * scaled) - np.rint((k - 1) * scaled)
     return ((1 << _OMEGA_SHIFT) - step).astype(np.uint16)
@@ -181,6 +188,8 @@ def _wheel(modulus: int, residue: int) -> np.ndarray:
     n = residue (mod modulus), for a modulus dividing 360360: index j stands for
     n = residue + modulus j, a period of 360360 / modulus words.  Each power
     strikes its indices as in _omega_block: from the first, every q/g-th."""
+    import numpy as np
+
     wheel = np.zeros(_WHEEL_PERIOD // modulus, dtype=np.uint16)
     for p in _WHEEL_PRIMES:
         q, k = p, 1
@@ -224,6 +233,8 @@ class _Plan:
     """
 
     def __init__(self, hi: int, base_primes: Sequence[int], step: int, words: int):
+        import numpy as np
+
         primes = np.array(base_primes[: bisect.bisect_right(base_primes, math.isqrt(hi - 1))],
                           dtype=np.int64)
         powers, adds = [primes], [_log_words(primes, 1)]
@@ -292,6 +303,8 @@ def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None
     word carries into its Omega field exactly when S < T (14 <= T < 729), and
     the shift by 10 then leaves Omega(n).
     """
+    import numpy as np
+
     step = plan.step
     n = (hi - lo + step - 1) // step  # words
     out = np.empty(n, dtype=np.uint8) if out is None else out
@@ -434,17 +447,19 @@ def kind_params(kind: str, values: Sequence[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-_Work = Callable[[tuple[int, int]], np.ndarray]  # a unit's counts, as int64
+_Work = Callable[[tuple[int, int]], list[int]]  # a unit's counts
 
 
 def _unit_sum(make_work: Callable[[], _Work], units: Sequence[tuple[int, int]],
-              length: int) -> np.ndarray:
-    """The sum of work(unit) over units, each an int64 array of that length, for
-    one work = make_work() built here: a forked worker builds its own."""
+              length: int) -> memoryview:
+    """The sum of work(unit) over units, each a list of that length, as an int64
+    memoryview (no numpy), for one work = make_work() built here: a forked
+    worker builds its own."""
     work = make_work()
-    total = np.zeros(length, dtype=np.int64)
+    total = memoryview(bytearray(8 * length)).cast("q")
     for unit in units:
-        total += work(unit)
+        for i, count in enumerate(work(unit)):
+            total[i] += count
     return total
 
 
@@ -456,9 +471,10 @@ def _fork_worker(make_work: Callable[[], _Work],
     try:
         with warnings.catch_warnings():
             # NumPy's BLAS keeps idle threads from import, so Python 3.12+ warns at
-            # every fork.  The child runs only kernel array code on its own buffers,
-            # then writes its pipe and calls os._exit: no lock of another thread is
-            # taken.
+            # every fork of a caller that has loaded numpy (an Omega count's does,
+            # a prime pattern's does not).  The child runs only kernel code on its
+            # own buffers, then writes its pipe and calls os._exit: no lock of
+            # another thread is taken.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )
@@ -471,7 +487,7 @@ def _fork_worker(make_work: Callable[[], _Work],
         status = 1
         try:
             os.close(read)
-            data = memoryview(_unit_sum(make_work, units, length)).cast("B")
+            data = _unit_sum(make_work, units, length).cast("B")
             while data:
                 data = data[os.write(write, data):]
             status = 0
@@ -492,8 +508,8 @@ def _forked_sum(make_work: Callable[[], _Work],
 
     The caller only coordinates: it forks every worker, then reads each one's
     partial sum and reaps it, and adds the sums as ints.  It never calls
-    make_work and runs no numpy, so no plan, set of segment buffers or numpy
-    code page is faulted in beside the pages only it has mapped.  A worker that
+    make_work, so no kernel, set of segment buffers or kernel code page is
+    faulted in beside the pages only it has mapped.  A worker that
     exits non-zero, dies by a signal or sends short data raises RuntimeError; on
     any exception the workers left are killed and reaped.
     """
@@ -579,6 +595,121 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
     return best[1]
 
 
+# one class's block in a process's buffers, as (values, sieve): values[j] is the
+# value of the n = first + step j once sieve(first, n) has sieved n of them, for
+# the row's step of +-M
+_Row = tuple[Sequence[int], Callable[[int, int], None]]
+
+
+class _OmegaKernel:
+    """Omega(n) per row, in uint8, for a count with a bound of 2 or more: one
+    _Plan serves every row of the process, and the masks of a tally live in the
+    plan's word buffer, which a tally reads only once every block of its unit is
+    sieved.  A descending row writes its block reversed, so every mask reads its
+    rows forwards."""
+
+    def __init__(self, top: int, base_primes: Sequence[int], modulus: int, width: int):
+        import numpy as np
+
+        self.plan = _Plan(top, base_primes, modulus, width)
+        self.masks = self.plan.block.view(np.bool_)  # 2 (width + 1) bytes hold two spans
+        self.width = width
+
+    def rows(self, classes: Sequence[int], step: int) -> dict[int, _Row]:
+        import numpy as np
+
+        def row(values: np.ndarray) -> _Row:
+            def sieve(first: int, n: int) -> None:
+                if step > 0:
+                    _omega_block(first, first + step * (n - 1) + 1, self.plan, out=values[:n])
+                else:
+                    _omega_block(first + step * (n - 1), first + 1, self.plan, out=values[:n][::-1])
+
+            return values, sieve
+
+        return dict(zip(classes, map(row, np.empty((len(classes), self.width), dtype=np.uint8))))
+
+    def tally(self, reads: list[tuple[Sequence[int], int]], cuts: list[int]) -> list[int]:
+        """Per ascending cut, the j < cut whose values are <= bound for every
+        (values, bound) in reads."""
+        import numpy as np
+
+        k = cuts[-1]
+        mask, tmp = self.masks[:k], self.masks[k : 2 * k]
+        (values, bound), *rest = reads
+        np.less_equal(values[:k], bound, out=mask)
+        for values, bound in rest:
+            mask &= np.less_equal(values[:k], bound, out=tmp)
+        return list(accumulate(int(np.count_nonzero(mask[a:b])) for a, b in zip([0, *cuts], cuts)))
+
+
+class _PrimeKernel:
+    """Primality per row, as bytes (1 for a prime, 0 else), for a count whose
+    every bound is 1; no numpy.
+
+    Every n of a row is coprime to M, at least 2 and below the count's top, so
+    n is prime exactly when no base prime p but n itself divides it, and the
+    primes of M divide none.  Each other base prime strikes every p-th byte of
+    the block from its first multiple, by one slice assignment of that many
+    zero bytes.  A base prime among the block's own n (in the first units, or
+    in a partner block of a small N) is then set back to 1: a descending block
+    reaches p^2 last, so a start at p^2 would not serve both directions.  A row
+    carries each prime's next index to its next block: a block delta indices
+    on, the next index i becomes i - delta, or (i - delta) mod p once the block
+    has passed i.  A tally converts each read to an int and ANDs them, so the
+    hits are the set bytes: int.bit_count when every cut is the block's end,
+    else bytes.count between cuts.
+    """
+
+    def __init__(self, top: int, base_primes: Sequence[int], modulus: int, width: int):
+        self.primes = [p for p in base_primes if modulus % p]
+        self.inverse = [pow(modulus, -1, p) for p in self.primes]
+        self.modulus, self.width = modulus, width
+        self.ones = bytearray(b"\x01") * width
+        self.zero = bytearray(width)
+
+    def rows(self, classes: Sequence[int], step: int) -> dict[int, _Row]:
+        return {c: self._row(step) for c in classes}
+
+    def _row(self, step: int) -> _Row:
+        primes, zero, ones = self.primes, self.zero, self.ones
+        block = bytearray(self.width)
+        sign = step // self.modulus
+        start, nxt = None, []  # the block's first n and each prime's next index in it
+
+        def sieve(first: int, n: int) -> None:
+            nonlocal start, nxt
+            if start is None:
+                nxt = [-sign * first * inverse % p for p, inverse in zip(primes, self.inverse)]
+            else:
+                delta = (first - start) // step
+                nxt = [i - delta if i >= delta else (i - delta) % p for p, i in zip(primes, nxt)]
+            start = first
+            block[:] = ones
+            for p, i in zip(primes, nxt):
+                if i < n:
+                    block[i:n:p] = zero[: (n - 1 - i) // p + 1]
+            for p in primes[bisect.bisect_left(primes, min(first, first + step * (n - 1))) :]:
+                j, r = divmod(p - first, step)
+                if r == 0 and 0 <= j < n:
+                    block[j] = 1
+
+        return memoryview(block), sieve
+
+    def tally(self, reads: list[tuple[Sequence[int], int]], cuts: list[int]) -> list[int]:
+        """Per ascending cut, the j < cut whose values are 1 in every read (each
+        bound is 1)."""
+        k = cuts[-1]
+        (values, _), *rest = reads
+        bits = int.from_bytes(values[:k], "little")
+        for values, _ in rest:
+            bits &= int.from_bytes(values[:k], "little")
+        if cuts[0] == k:
+            return [bits.bit_count()] * len(cuts)
+        mask = bits.to_bytes(k, "little")
+        return list(accumulate(mask.count(1, a, b) for a, b in zip([0, *cuts], cuts)))
+
+
 def _sieve_count(
     marks: Sequence[int],
     head: int,
@@ -594,17 +725,22 @@ def _sieve_count(
     one block, padded for the offsets, whose index i is n = lo + c + M i, so
     n + off is in class c' = c + off - M s at index i + s.  Mirrored units walk
     only n <= N/2: each also sieves, per class c of n, the partners N - n into a
-    reversed buffer, which read forwards from the pad on is Omega(N - n) for the
-    class's n, and counts both the n and their partners from the pair.  The
+    descending block, which read forwards from the pad on holds the values of the
+    N - n for the class's n, and counts both the n and their partners from the pair.  The
     heads n <= M, and the N - n with n <= M, are checked on their own by trial
     division, since a position of theirs may be g itself: by the process that
     takes the first unit (lo = M), which they sit just below, or by the caller
-    when a count has no units.  Each process that sieves builds its int64 base
-    primes, one _Plan and one set of buffers, sized by the longest unit, so
-    memory is O(segment) per worker for every kind and a unit allocates nothing
-    of that size.  A forking caller builds none of them and runs no numpy: it
-    builds the prime table, which its workers inherit, forks, then adds the
-    workers' sums as ints, so the result does not depend on the worker count.
+    when a count has no units.
+
+    Two block kernels serve this one loop, picked by the bounds: a count whose
+    every bound is 1 needs only primality, sieved in bytes (_PrimeKernel, no
+    numpy); any bound of 2 or more takes Omega (_OmegaKernel).  Each process
+    that sieves builds one kernel and one set of rows, sized by the longest
+    unit, so memory is O(segment) per worker for every kind and a unit
+    allocates nothing of that size.  A forking caller builds none of them: it
+    builds the prime table, which its workers inherit, imports numpy for an
+    Omega count so that they share its pages, forks, then adds the workers'
+    sums as ints, so the result does not depend on the worker count.
     """
     size = marks[-1]
     limit = size if mirror is None else size // 2
@@ -616,6 +752,7 @@ def _sieve_count(
     units = [(lo, min(words, (limit - lo - 1) // modulus + 1))
              for lo in range(modulus, limit, modulus * words)]
     width = max((span for _, span in units), default=0) + padw
+    primality = max(head, mirror or 1, *(bound for _, bound in forward)) == 1
 
     def residue(n: int) -> int:
         return (n - 1) % modulus + 1
@@ -631,64 +768,53 @@ def _sieve_count(
         return [sum(n <= mark for n in hits) for mark in marks]
 
     def make_work() -> _Work:
-        """work(unit) over one plan and one set of buffers that serve every unit
+        """work(unit) over one kernel and one set of rows that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        plan = _Plan(top, base_primes, modulus, width)
-        ends = np.array(marks, dtype=np.int64)
-        # Omega(n) per sieved class, and Omega(N - n) per class of n, from the pad on
-        lower = dict(zip(needed, np.empty((len(needed), width), dtype=np.uint8)))
-        upper = {} if mirror is None else dict(zip(
-            (residue(size - c) for c in needed), np.empty((len(needed), width), dtype=np.uint8)))
-        # the masks live in the plan's word buffer, so they start only once every
-        # block of a unit is sieved: 2 (width + 1) bytes hold two spans
-        masks = plan.block.view(np.bool_)
+        kernel = (_PrimeKernel if primality else _OmegaKernel)(top, base_primes, modulus, width)
+        # per sieved class, n ascending, and per class of n, N - n descending from the pad on
+        lower = kernel.rows(needed, modulus)
+        upper = {} if mirror is None else kernel.rows([residue(size - c) for c in needed], -modulus)
 
-        def read(rows: dict[int, np.ndarray], c: int, off: int, start: int = 0) -> np.ndarray:
+        def read(rows: dict[int, _Row], c: int, off: int, start: int = 0) -> Sequence[int]:
             """The values of n + off for the n of class c, from rows."""
             d = residue(c + off)
-            return rows[d][start + (c + off - d) // modulus :]
+            return rows[d][0][start + (c + off - d) // modulus :]
 
-        def work(unit: tuple[int, int]) -> np.ndarray:
+        def work(unit: tuple[int, int]) -> list[int]:
             lo, span = unit
             n = span + padw
 
-            def hits(c: int, reads: list[tuple[np.ndarray, int]]) -> np.ndarray:
-                """Class c's n <= limit with values <= bound for every (values, bound) in reads."""
-                k = min(span, max(0, (limit - lo - c) // modulus + 1))
-                mask, tmp = masks[:k], masks[k : 2 * k]
-                (values, bound), *rest = reads
-                np.less_equal(values[:k], bound, out=mask)
-                for values, bound in rest:
-                    mask &= np.less_equal(values[:k], bound, out=tmp)
-                return mask
+            def inside(c: int, mark: int) -> int:
+                """The n <= mark of class c in this unit, as a cut of its block."""
+                return min(span, max(0, (mark - lo - c) // modulus + 1))
 
-            for c, values in lower.items():
-                _omega_block(lo + c, lo + c + modulus * (n - 1) + 1, plan, out=values[:n])
-            for c, values in upper.items():
-                last = size - lo - c + modulus * padw  # N - n at index -padw
-                _omega_block(last - modulus * (n - 1), last + 1, plan, out=values[:n][::-1])
+            for c, (_, sieve) in lower.items():
+                sieve(lo + c, n)
+            for c, (_, sieve) in upper.items():
+                sieve(size - lo - c + modulus * padw, n)  # N - n at index -padw
             own = [[(read(lower, c, 0), head)] + [(read(lower, c, off), bound) for off, bound in forward]
                    for c in heads]
             if mirror is None:
-                total = np.zeros(len(ends), dtype=np.int64)
+                total = [0] * len(marks)
                 for c, reads in zip(heads, own):
-                    found = lo + c + modulus * np.flatnonzero(hits(c, reads))
-                    total += np.searchsorted(found, ends, side="right")
+                    hits = kernel.tally(reads, [inside(c, mark) for mark in marks])
+                    total = [a + b for a, b in zip(total, hits)]
             else:
-                count = sum(np.count_nonzero(hits(c, reads + [(read(upper, c, 0, padw), mirror)]))
+                count = sum(kernel.tally(reads + [(read(upper, c, 0, padw), mirror)], [inside(c, limit)])[0]
                             for c, reads in zip(heads, own))
                 # the partners N - n of the n in class c: their offsets N - n + off
                 # are N - (n - off)
                 for c in [residue(size - h) for h in heads]:
-                    mask = hits(c, [(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
-                                + [(read(upper, c, -off, padw), bound) for off, bound in forward])
-                    if len(mask) and 2 * (lo + c + modulus * (len(mask) - 1)) == size:
-                        mask[-1] = False  # n = N/2 is its own partner: counted in the lower half only
-                    count += np.count_nonzero(mask)
-                total = np.array([count], dtype=np.int64)
+                    k = inside(c, limit)
+                    if k and 2 * (lo + c + modulus * (k - 1)) == size:
+                        k -= 1  # n = N/2 is its own partner: counted in the lower half only
+                    count += kernel.tally([(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
+                                          + [(read(upper, c, -off, padw), bound) for off, bound in forward],
+                                          [k])[0]
+                total = [count]
             if lo == modulus:  # the first unit's process also counts the heads below it
-                total += small_heads()
+                total = [a + b for a, b in zip(total, small_heads())]
             return total
 
         return work
@@ -697,6 +823,8 @@ def _sieve_count(
         return small_heads()
     workers = min(thread_count(), len(units), os.cpu_count() or 1)
     if workers > 1 and hasattr(os, "fork"):
+        if not primality:
+            import numpy  # noqa: F401  (before the fork, so that every worker shares its pages)
         return _forked_sum(make_work, units, workers, len(marks))
     return _unit_sum(make_work, units, len(marks)).tolist()
 

@@ -639,12 +639,16 @@ def _imported_by(*argv):
 
 def test_count_loads_only_the_engine():
     # the Euler products load only with a predictor that uses one: D_1ab's uses none;
+    # numpy loads only with a bound of 2 or more, as a prime pattern's bounds are all 1;
     # traceback and signal load only on a count's failure paths
     failure_only = {"traceback", "signal"} - _imported_by("-c", "import numpy")
-    for argv, euler in ((("pi_1ab", "1000", "1", "1"), True), (("D_1ab", "1000", "2", "2"), False)):
+    for argv, euler, numpy in ((("pi_1ab", "1000", "2", "2"), True, True),
+                               (("D_1ab", "1000", "2", "2"), False, True),
+                               (("pi_1ab", "1000", "1", "1"), True, False)):
         imported = _imported_by("-m", "triplesieve", "count", *argv)
         loaded = {m for m in imported if m.split(".")[0] in ("numpy", "triplesieve")}
-        assert {"numpy", "triplesieve.cli", "triplesieve.engine"} <= loaded, argv
+        assert {"triplesieve.cli", "triplesieve.engine"} <= loaded, argv
+        assert ("numpy" in loaded) == numpy, argv
         assert not loaded & {"triplesieve.pipeline", "triplesieve.quadrature",
                              "triplesieve.sieve_functions"}, argv
         assert ("triplesieve.constants" in loaded) == euler, argv
@@ -654,6 +658,15 @@ def test_count_loads_only_the_engine():
     imported = _imported_by("-m", "triplesieve", "functions", "w", "--points", "3")
     assert "triplesieve.sieve_functions" in imported
     assert not imported & {"triplesieve.pipeline", "triplesieve.reporting"}
+
+
+@pytest.mark.parametrize("kind, params", [("pi_1ab", ("1", "1")), ("pi_1r", ("1",)),
+                                          ("D_1ab", ("1", "1")), ("D_1r", ("1",)), ("D_sr", ("1", "1"))])
+def test_a_prime_pattern_never_loads_numpy(kind, params):
+    # every bound 1 needs only primality, which the engine sieves in bytes
+    for argv in (("count", kind, "100000", *params), ("ratio", kind, *params, "--checkpoints", "1e3,1e5")):
+        imported = _imported_by("-m", "triplesieve", *argv, "--no-timestamp")
+        assert "triplesieve.engine" in imported and "numpy" not in imported, argv
 
 
 def test_every_public_name_resolves_and_is_listed():
@@ -817,10 +830,11 @@ def test_a_forked_count_peaks_no_higher_than_a_one_unit_count():
                     reason="reads peak RSS through os.wait4 on Linux, with two CPUs to fork for")
 def test_a_forked_count_predictor_adds_little_to_its_caller():
     # a forked count peaks in its caller, and pi_1ab's caller computes C3 once its
-    # workers are reaped, where D_1ab's computes no constant.  With the Euler
-    # products in scalar math the gap read 4-596 KiB over 60 trials (each side the
-    # least of three); numpy products, which fault its vector-math kernels into the
-    # caller, read 816-1128 KiB.  The bound sits between the two
-    forward = min(_cold_usage("count", "pi_1ab", "1e7", "1", "1", workers=2)[1] for _ in range(3))
+    # workers are reaped, where D_1ab's computes no constant; at bounds of 2 both
+    # callers load numpy.  With the Euler products in scalar math the gap read
+    # 4-596 KiB over 60 trials (each side the least of three); numpy products,
+    # which fault its vector-math kernels into the caller, read 816-1128 KiB.  The
+    # bound sits between the two
+    forward = min(_cold_usage("count", "pi_1ab", "1e7", "2", "2", workers=2)[1] for _ in range(3))
     mirror = min(_cold_usage("count", "D_1ab", "1e7", "2", "2", workers=2)[1] for _ in range(3))
     assert forward - mirror < 704, (mirror, forward)

@@ -3,6 +3,8 @@ import functools
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -347,6 +349,50 @@ def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
             len(oracles.brute_pi_1r(m, r, table)) for m in marks]
 
 
+_PRIME_PATTERNS = (("pi_1ab", (1, 1)), ("pi_1r", (1,)), ("D_1ab", (1, 1)), ("D_1r", (1,)),
+                   ("D_sr", (1, 1)))
+
+
+def _unit_edges(kind, size):
+    """The starts of the first few units of a prime pattern at size, each with
+    its neighbours, and size: marks for a forward scan; doubled, mirrored N
+    whose N/2 lies on or beside a unit edge."""
+    spec = engine.KINDS[kind]
+    layout = engine._classes(1, tuple((off, 1) for off, _ in spec.forward),
+                             1 if spec.mirror else None, size)
+    edges = range(layout.modulus, size, layout.modulus * layout.words)[:4]
+    return sorted({edge + d for edge in edges for d in (-1, 0, 1)} | {size})
+
+
+def _prime_pattern_counts(sizes, x):
+    """Every prime pattern: the mirrored kinds at each N in sizes, and the forward
+    kinds as scans to x with marks on unit edges."""
+    mirrored = [getattr(engine, f"count_{kind}")(N, *params).count
+                for kind, params in _PRIME_PATTERNS if engine.KINDS[kind].mirror
+                for N in sizes if N >= engine.KINDS[kind].min_size]
+    scans = [[r.count for r in ratio_scan(kind, params, _unit_edges(kind, x))]
+             for kind, params in _PRIME_PATTERNS if not engine.KINDS[kind].mirror]
+    return mirrored, scans
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 6, 30])
+@pytest.mark.parametrize("segment", [7, 1001, 2**14])
+def test_prime_patterns_count_the_same_through_both_kernels(monkeypatch, modulus, segment):
+    # every bound 1 runs on the primality kernel; the Omega kernel, given the same
+    # counts, is the reference.  Each count forced onto one modulus, over many
+    # units: N of each residue mod 30 that moves the classes (0, 2, 10, 20), N/2
+    # on unit edges, the small N whose partner blocks hold base primes, and
+    # forward scans with marks on unit edges
+    monkeypatch.setattr(engine, "_MODULI", (modulus,))
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", segment)
+    x = 2100 if segment == 7 else 300_000
+    sizes = [4, 6, 8, 10, 30, 32, 62, 64, 90, *(x + d for d in (0, 2, 10, 20))]
+    sizes += [2 * n for n in _unit_edges("D_1r", x // 2)[:-1] if n > 2]
+    counts = _prime_pattern_counts(sizes, x)
+    monkeypatch.setattr(engine, "_PrimeKernel", engine._OmegaKernel)
+    assert counts == _prime_pattern_counts(sizes, x)
+
+
 @pytest.mark.parametrize("count, modulus, heads, needed", [
     # a prime triple's p, p + 2 and p + 6 are prime only in 5 of the 30 classes
     ((1, ((2, 1), (6, 1)), None, 10**8), 30, [11, 17], [11, 13, 17, 19, 23]),
@@ -507,20 +553,37 @@ def _every_kind(x):
     )
 
 
+def _every_prime_pattern(x):
+    """The five kinds at bound 1, which run on the primality kernel, and a twin
+    scan whose marks sit on either side of M = 2 unit edges."""
+    return (
+        count_pi_1ab(x, 1, 1).count, count_D_1ab(x, 1, 1).count, count_pi_1r(x, 1).count,
+        count_D_1r(x, 1).count, count_D_sr(x, 1, 1).count,
+        [r.count for r in ratio_scan("pi_1r", (1,), [10, 1000, 32769, 32770, 65537, 500001, x])],
+    )
+
+
 def test_thread_count_invariance(monkeypatch, forks):
-    # 2^14-word segments: 4 units for the odd-only mirrored kinds, 7 for the others
-    x = 200_000
+    _assert_thread_count_invariance(monkeypatch, forks, _every_kind, 200_000)
+
+
+def test_thread_count_invariance_of_the_prime_patterns(monkeypatch, forks):
+    _assert_thread_count_invariance(monkeypatch, forks, _every_prime_pattern, 10**6)
+
+
+def _assert_thread_count_invariance(monkeypatch, forks, every, x):
+    # 2^14-word segments: at least 4 units for every count
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # three workers on any host
     counts = {}
     for workers in (1, 2, 3):
         monkeypatch.setenv("TRIPLESIEVE_THREADS", str(workers))
         assert thread_count() == workers
-        counts[workers] = _every_kind(x)
+        counts[workers] = every(x)
         assert len(forks) == (6 * workers if workers > 1 else 0)  # six counts, W workers each
         forks.clear()
     monkeypatch.delattr(os, "fork")  # platforms without fork count serially
-    assert _every_kind(x) == counts[3] == counts[2] == counts[1]
+    assert every(x) == counts[3] == counts[2] == counts[1]
 
 
 def test_forks_never_exceed_the_cpu_count(monkeypatch, forks):
@@ -582,22 +645,24 @@ _FORKING_CALLER_PEAK = 32 * 1024
 
 
 @pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 3)), ("pi_1r", (2,)),
-                                          ("D_1r", (2,)), ("D_sr", (2, 3))])
+                                          ("D_1r", (2,)), ("D_sr", (2, 3)), *_PRIME_PATTERNS])
 def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     # the caller builds the prime table, forks two workers, which inherit it,
     # adds their sums as ints and runs the predictor; the workers build the
-    # plans and check the small heads
+    # kernels (a plan for Omega, primality's for a bound of 1 everywhere) and
+    # check the small heads
+    size = 10**6 if max(params) == 1 else 200_000
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)  # at least 4 units per count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
-    serial = ratio_scan(kind, params, [200_000])  # warms the predictor's caches
+    serial = ratio_scan(kind, params, [size])  # warms the predictor's caches
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
     primes_up_to.cache_clear()  # the caller's table is built inside the peak's window
     caller = os.getpid()
-    with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan") as calls:
+    with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan", "_PrimeKernel") as calls:
         tracemalloc.start()
         try:
-            forked = ratio_scan(kind, params, [200_000])
+            forked = ratio_scan(kind, params, [size])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -605,8 +670,40 @@ def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     assert [pid for name, pid in calls if name == "primes_up_to"] == [caller]
     sievers = {pid for name, pid in calls if name != "primes_up_to"}
     assert len(sievers) == 2 and caller not in sievers, calls
+    kernel = "_PrimeKernel" if max(params) == 1 else "_Plan"
+    kernels = [call for call in calls if call[0] in ("_Plan", "_PrimeKernel")]
+    assert sorted(kernels) == sorted((kernel, pid) for pid in sievers), calls  # one per worker
     assert peak < _FORKING_CALLER_PEAK, peak
     _no_child_left()
+
+
+# run in a fresh interpreter, which has loaded no numpy: whether numpy is loaded
+# at each os.fork of a count forked over two workers
+_FORK_PROBE = """
+import os, sys
+from triplesieve import engine
+engine.SEGMENT_SIZE = 2**14
+os.cpu_count = lambda: 2
+fork, loaded = os.fork, []
+def recorded():
+    loaded.append("numpy" in sys.modules)
+    return fork()
+os.fork = recorded
+engine.count_{kind}(10**6, *{params})
+print(loaded)
+"""
+
+
+@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 2)), *_PRIME_PATTERNS])
+def test_numpy_is_loaded_before_an_omega_count_forks_and_never_for_primality(kind, params):
+    # an Omega count's workers share the caller's numpy pages; a prime pattern
+    # never loads numpy at all
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(engine.__file__)),
+           "TRIPLESIEVE_THREADS": "2"}
+    run = subprocess.run([sys.executable, "-c", _FORK_PROBE.format(kind=kind, params=params)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == repr([max(params) > 1] * 2)
 
 
 def _no_child_left():
