@@ -41,12 +41,16 @@ counted n past the small ones, whose positions may equal g and are checked by
 trial division.  A prime triple's p, p + 2 and p + 6 then lie in 5 of the 30
 classes, and the twin primes in 6; a block of step M holds one class, one
 value per n = c + M i (an Omega block copies in that class's slice of the
-wheel).  M and the classes follow from the bounds (and N); the modulus of the
+wheel).  Both kernels follow one rule: every sieved class is coprime to M, so
+M's primes divide none of its n and every other prime power q strikes every
+q-th index, and each block computes its start indices from its own first n.
+A modulus is a candidate only when every class its bounds leave to sieve is
+coprime to it, which M = 1 always is; of the candidates, the modulus of the
 least cost wins, counting each class block's fixed cost as well as its words
 (_classes).  So the prime-headed counts whose bounds exclude little stay
-odd-only (M = 2), and D_sr, whose head is any n, mostly keeps every integer
-(M = 1), as does sieve_omega.  The mirrored kinds (N - p almost-prime) pair
-each unit below N/2 with its mirror above, class by class, so memory stays
+odd-only (M = 2), and D_sr with s, r >= 2, whose head is any n, keeps every
+integer (M = 1), as does sieve_omega.  The mirrored kinds (N - p almost-prime)
+pair each unit below N/2 with its mirror above, class by class, so memory stays
 bounded by the segment size, not by N.  The mirror's blocks run descending, so
 every mask of a pair reads its blocks forwards (a negative-stride compare of
 2^20 bytes runs ~13x slower).  SEGMENT_SIZE counts the values of a unit, shared
@@ -161,12 +165,14 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # count_mirror) and 64 was slower in process; 128 holds a count's scatter plan
 # to 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10, not 0.99 / 1.61 / 2.22.
 _SCATTER_HITS = 128
-# what one class block costs beyond its words, in words.  Fitted to 2-worker
-# counts near 1e8 (2 vCPUs), each forced onto M = 2, 6 and 30: pi_1ab (1,1),
-# pi_1r 1, 2 and 33.  A block's fixed cost (its powers' start indices, the
-# strided calls and one scatter entry per power) is ~50-60 us near 1e8, against
-# ~1.4 ns a word; near 1e10 it is ~3x that, so there the rule leans to more
-# classes than it should.
+# what one class block costs beyond its words, in words: the Omega kernel's
+# fit, applied to both kernels.  Fitted to 2-worker counts near 1e8 (2 vCPUs),
+# each forced onto M = 2, 6 and 30: pi_1ab (1,1), pi_1r 1, 2 and 33, all on the
+# Omega kernel then (pi_1ab 1 1 and pi_1r 1 now run on the primality kernel).
+# An Omega block's fixed cost (its powers' start indices, the strided calls and
+# one scatter entry per power) is ~50-60 us near 1e8, against ~1.4 ns a word;
+# near 1e10 it is ~3x that, so there the rule leans to more classes than it
+# should.
 _CLASS_BLOCK_COST = 36_000
 _MODULI = (1, 2, 6, 30)  # the class moduli: squarefree, each dividing the next and the wheel period
 
@@ -185,39 +191,35 @@ def _log_words(p: np.ndarray, k: int) -> np.ndarray:
 @functools.cache
 def _wheel(modulus: int, residue: int) -> np.ndarray:
     """Words of the wheel's prime powers for one period of the class
-    n = residue (mod modulus), for a modulus dividing 360360: index j stands for
-    n = residue + modulus j, a period of 360360 / modulus words.  Each power
-    strikes its indices as in _omega_block: from the first, every q/g-th."""
+    n = residue (mod modulus), residue coprime to a modulus dividing 360360:
+    index j stands for n = residue + modulus j, a period of 360360 / modulus
+    words.  The powers of the modulus' primes divide no n of the class, and
+    every other power q strikes every q-th index from -residue / modulus
+    (mod q), as in _omega_block."""
     import numpy as np
 
     wheel = np.zeros(_WHEEL_PERIOD // modulus, dtype=np.uint16)
-    for p in _WHEEL_PRIMES:
+    for p in [p for p in _WHEEL_PRIMES if modulus % p]:
         q, k = p, 1
         while _WHEEL_PERIOD % q == 0:
-            shared = math.gcd(q, modulus)
-            if residue % shared == 0:
-                stride = q // shared
-                first = (-residue) % q // shared * pow(modulus // shared, -1, stride) % stride
-                wheel[first::stride] += _log_words(np.array([p]), k)[0]
+            wheel[-residue * pow(modulus, -1, q) % q :: q] += _log_words(np.array([p]), k)[0]
             q, k = q * p, k + 1
     wheel.flags.writeable = False
     return wheel
 
 
 class _Plan:
-    """The prime powers q < hi of the primes p <= sqrt(hi - 1) that the wheel
-    does not cover, each with its word, laid out for blocks of at most `words`
-    words of one class n = lo (mod M), M the step, with the buffers such a block
-    is sieved in; built once in each process that sieves a count, never in a
-    caller that forks.  One plan serves every class of its step.
+    """The prime powers q < hi of the primes p <= sqrt(hi - 1) that neither the
+    wheel nor M covers, each with its word, laid out for blocks of at most
+    `words` words of one class n = lo (mod M), M the step and lo coprime to it,
+    with the buffers such a block is sieved in; built once in each process that
+    sieves a count, never in a caller that forks.  One plan serves every class
+    of its step.  The powers of M's primes divide no n of such a class, so the
+    plan drops M's primes before it builds powers.
 
-    In a block of step M, index i stands for n = lo + M i.  A power q with
-    g = gcd(q, M) strikes every (q/g)-th index from the first i with
-    (M/g) i = ((-lo) mod q) / g (mod q/g), and none at all when g does not
-    divide lo.  g > 1 only for the powers of a prime p of M: `divisible` holds
-    those per p, each with q/p and (M/p)^-1 mod q/p, and a block whose lo p
-    divides strikes them one by one.  Every other power is coprime to M, and
-    its first index is (t + q j) / M for t = (-lo) mod q and the j < M with
+    In a block of step M, index i stands for n = lo + M i.  Every power q left
+    is coprime to M and strikes every q-th index from the first i with
+    M i = -lo (mod q): i = (t + q j) / M for t = (-lo) mod q and the j < M with
     t + q j = 0 (mod M), that is j = t u mod M with u = -q^-1 (mod M) kept per
     power (inverse); each term stays below 30 q, so int64 holds it.
 
@@ -237,6 +239,7 @@ class _Plan:
 
         primes = np.array(base_primes[: bisect.bisect_right(base_primes, math.isqrt(hi - 1))],
                           dtype=np.int64)
+        primes = primes[step % primes != 0]
         powers, adds = [primes], [_log_words(primes, 1)]
         q = primes
         while len(q):  # q * p < hi holds for a prefix, since the primes ascend
@@ -248,13 +251,6 @@ class _Plan:
         live = _WHEEL_PERIOD % q != 0
         q, adds = q[live], adds[live]
         self.step, self.words = step, words
-        self.divisible = []
-        for p in _WHEEL_PRIMES:
-            if step % p == 0:
-                at = q % p == 0
-                self.divisible.append((p, [(power, power // p, pow(step // p, -1, power // p), add)
-                                           for power, add in zip(q[at].tolist(), adds[at])]))
-                q, adds = q[~at], adds[~at]
         many = q * _SCATTER_HITS <= words
         self.powers = np.concatenate([q[many], q[~many]])  # strided first
         self.inverse = np.array([-pow(r, -1, step) % step if math.gcd(r, step) == 1 else 0
@@ -274,7 +270,9 @@ class _Plan:
 
 def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None) -> np.ndarray:
     """Omega(n) for the n = lo (mod M) in [lo, hi), M the plan's step: index i
-    stands for n = lo + M i.  The block is sieved in the buffers of a plan built
+    stands for n = lo + M i.  lo must be coprime to M (ValueError otherwise):
+    the plan holds no power of M's primes, so a class that shares one would
+    read wrong values.  The block is sieved in the buffers of a plan built
     for some h >= hi, primes covering sqrt(h - 1), and at least its words.  The
     wheel is the class of lo's words of the full wheel, and each of the plan's
     powers strikes from its first index (see _Plan).  The plan's powers above hi
@@ -306,6 +304,8 @@ def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None
     import numpy as np
 
     step = plan.step
+    if math.gcd(lo, step) > 1:
+        raise ValueError(f"a block of step {step} needs a class coprime to it, not {lo} mod {step}")
     n = (hi - lo + step - 1) // step  # words
     out = np.empty(n, dtype=np.uint8) if out is None else out
     if n == 0:
@@ -320,11 +320,6 @@ def _omega_block(lo: int, hi: int, plan: _Plan, *, out: np.ndarray | None = None
         words[pos : pos + take] = wheel[phase : phase + take]
         pos, phase = pos + take, 0
 
-    for p, powers in plan.divisible:
-        if lo % p == 0:
-            for q, stride, inverse, add in powers:
-                strike = words[(-lo) % q // p * inverse % stride :: stride]
-                strike += add
     starts = t = (-lo) % plan.powers
     if step > 1:  # (t + q j) / M; at M = 1 it is t itself
         starts = t * plan.inverse
@@ -573,9 +568,12 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
     squarefree, so v > g gives Omega(v) >= omega(g) + 1: a class is admitted
     when omega(g) is below the position's bound at every position (1 for a prime
     head).  The heads with a position at or below M are not sieved (see
-    _sieve_count).  M is the modulus of the least cost per integer, the smaller
-    on a tie: k/M words for k sieved classes, each class block of w words
-    costing w + _CLASS_BLOCK_COST.
+    _sieve_count).  A modulus is a candidate only when every class it must
+    sieve is coprime to it, so that both kernels sieve coprime classes alone;
+    M = 1, one class of every integer, always is, and is taken when no modulus
+    of _MODULI is.  M is the candidate of the least cost per integer, the
+    smaller on a tie: k/M words for k sieved classes, each class block of w
+    words costing w + _CLASS_BLOCK_COST.
     """
     best = None
     for modulus in _MODULI:
@@ -588,11 +586,13 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
         needed = {(c + off - 1) % modulus + 1 for c in heads for off in (0, *(off for off, _ in forward))}
         if mirror is not None:
             needed |= {(size - c - 1) % modulus + 1 for c in heads}
+        if any(math.gcd(c, modulus) > 1 for c in needed):
+            continue
         words = max(1, SEGMENT_SIZE // max(len(needed), 1))
         cost = len(needed) * (words + _CLASS_BLOCK_COST), modulus * words  # a fraction
         if best is None or cost[0] * best[0][1] < best[0][0] * cost[1]:
             best = cost, _Classes(modulus, heads, sorted(needed), words)
-    return best[1]
+    return best[1] if best else _Classes(1, [1], [1], SEGMENT_SIZE)
 
 
 # one class's block in a process's buffers, as (values, sieve): values[j] is the
@@ -651,14 +651,14 @@ class _PrimeKernel:
     n is prime exactly when no base prime p but n itself divides it, and the
     primes of M divide none.  Each other base prime strikes every p-th byte of
     the block from its first multiple, by one slice assignment of that many
-    zero bytes.  A base prime among the block's own n (in the first units, or
-    in a partner block of a small N) is then set back to 1: a descending block
-    reaches p^2 last, so a start at p^2 would not serve both directions.  A row
-    carries each prime's next index to its next block: a block delta indices
-    on, the next index i becomes i - delta, or (i - delta) mod p once the block
-    has passed i.  A tally converts each read to an int and ANDs them, so the
-    hits are the set bytes: int.bit_count when every cut is the block's end,
-    else bytes.count between cuts.
+    zero bytes; a block of first n and step +-M computes that index from n
+    alone, -+n M^-1 mod p, and a row keeps no state from block to block.  A
+    base prime among the block's own n (in the first units, or in a partner
+    block of a small N) is then set back to 1: a descending block reaches p^2
+    last, so a start at p^2 would not serve both directions.  A tally converts
+    each read to an int and ANDs them, so the hits are the set bytes:
+    int.bit_count when every cut is the block's end, else bytes.count between
+    cuts.
     """
 
     def __init__(self, top: int, base_primes: Sequence[int], modulus: int, width: int):
@@ -672,21 +672,15 @@ class _PrimeKernel:
         return {c: self._row(step) for c in classes}
 
     def _row(self, step: int) -> _Row:
-        primes, zero, ones = self.primes, self.zero, self.ones
+        primes, inverses, zero, ones = self.primes, self.inverse, self.zero, self.ones
         block = bytearray(self.width)
         sign = step // self.modulus
-        start, nxt = None, []  # the block's first n and each prime's next index in it
 
         def sieve(first: int, n: int) -> None:
-            nonlocal start, nxt
-            if start is None:
-                nxt = [-sign * first * inverse % p for p, inverse in zip(primes, self.inverse)]
-            else:
-                delta = (first - start) // step
-                nxt = [i - delta if i >= delta else (i - delta) % p for p, i in zip(primes, nxt)]
-            start = first
             block[:] = ones
-            for p, i in zip(primes, nxt):
+            start = -sign * first
+            for p, inverse in zip(primes, inverses):
+                i = start * inverse % p  # the index of the block's first multiple of p
                 if i < n:
                     block[i:n:p] = zero[: (n - 1 - i) // p + 1]
             for p in primes[bisect.bisect_left(primes, min(first, first + step * (n - 1))) :]:
@@ -892,6 +886,4 @@ def ratio_scan(
     marks = list(checkpoints)
     if any(c2 <= c1 for c1, c2 in zip(marks, marks[1:])):
         raise DomainError("checkpoints must be strictly ascending")
-    if marks and marks[-1] > 10**9:
-        raise DomainError("checkpoints capped at 1e9")
     return _results(kind, params, marks)

@@ -172,9 +172,8 @@ def test_odd_kernel_matches_residual_oracle_per_segment_size(words):
 
 
 # the class layouts of moduli 6 and 30: index i is n = lo + M i, for every
-# residue of lo, the non-coprime ones included (3 mod 6; 5, 15 and 25 mod 30),
-# where the powers 16, 27, 25, 125 .. of the modulus' primes strike every
-# (q / gcd(q, M))-th index
+# residue of lo coprime to M (1 and 5 mod 6, the 8 of 30); a block of any other
+# residue, whose n the powers of M's primes would divide, is refused
 _CLASS_WINDOWS = [
     (2, 100_000),
     *((k * 360360 - 5000, k * 360360 + 5000) for k in (1, 277)),  # wheel seams
@@ -196,6 +195,10 @@ def test_class_kernel_matches_residual_oracle(modulus, residue):
         start = lo + (residue - lo) % modulus
         words = (hi - start + modulus - 1) // modulus
         plan = _Plan(hi, primes_up_to(math.isqrt(hi - 1)), modulus, words)
+        if math.gcd(residue, modulus) > 1:
+            with pytest.raises(ValueError, match="needs a class coprime to it"):
+                _omega_block(start, hi, plan)
+            continue
         got = _omega_block(start, hi, plan)
         want = _residual_window(lo, hi)[start - lo :: modulus]
         mismatches = np.nonzero(got != want)[0]
@@ -326,27 +329,62 @@ def test_mirrored_bound_one_counts_match_a_sieve_of_eratosthenes(N):
     assert count_D_1ab(N, 2, 2).count == oracles.eratosthenes_count("D_1ab", N, 2, 2)
 
 
+@functools.cache
+def _shared_residues(kind, params, size):
+    """The residues mod 30 of the positions (n, each n + off and N - n) of every
+    n the count includes, by brute force, that share a prime with 30; only the n
+    whose positions all exceed 30.  A mirrored count's layout depends on N mod 30
+    alone, so it is read at an N of that residue near 2e4, and a multiple of 4:
+    else no even n = 2p has N - n = 2q."""
+    spec = engine.KINDS[kind]
+    named = dict(zip(spec.params, params))
+    if spec.mirror:
+        size = 19_980 + size % 30 + 30 * (size % 30 % 4 // 2)
+    table = oracles.omega_table(size + 6)
+    head = named[spec.head] if spec.head else 1
+    shared = set()
+    for n in range(31, size - 30 if spec.mirror else size + 1):
+        positions = [(n, head)] + [(n + off, named[b]) for off, b in spec.forward]
+        if spec.mirror:
+            positions.append((size - n, named[spec.mirror]))
+        if all(table[v] <= bound for v, bound in positions):
+            shared |= {v % 30 for v, _ in positions if math.gcd(v, 30) > 1}
+    return shared
+
+
 @pytest.mark.parametrize("modulus", [1, 2, 6, 30])
 @pytest.mark.parametrize("segment", [7, 1001])
 def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
     # each count forced onto one modulus, across many units: the classes and their
     # seams, the offsets' index shifts, the partners' reversed blocks and the
-    # heads checked by trial division
+    # heads checked by trial division.  A count takes the forced M unless one of
+    # the n it includes has a position that shares a prime with M, a class no
+    # kernel sieves; then it takes M = 1
     monkeypatch.setattr(engine, "_MODULI", (modulus,))
     monkeypatch.setattr(engine, "SEGMENT_SIZE", segment)
-    for N in (8, 30, 32, 62, 64, 90, 2 * (1 + 30 * segment) + 4, 20_000, 20_002, 20_010):
-        for kind, params in (("D_1ab", (2, 3)), ("D_1ab", (1, 1)), ("D_1r", (1,)), ("D_1r", (2,)),
-                             ("D_sr", (2, 3)), ("D_sr", (1, 1))):
+    taken = []
+    classes = engine._classes
+    monkeypatch.setattr(engine, "_classes", lambda *args: taken.append(classes(*args)) or taken[-1])
+
+    def check(kind, params, size, got, want):
+        assert got == want, (kind, size, params)
+        shared = any(math.gcd(v, modulus) > 1 for v in _shared_residues(kind, params, size))
+        assert taken.pop().modulus == (1 if shared else modulus), (kind, size, params)
+
+    for N in (8, 30, 32, 62, 64, 90, 2 * (1 + 30 * segment) + 4, 19_996, 20_000, 20_002, 20_006,
+              20_010):
+        for kind, params in (("D_1ab", (2, 3)), ("D_1ab", (1, 1)), ("D_1ab", (1, 2)), ("D_1r", (1,)),
+                             ("D_1r", (2,)), ("D_sr", (2, 3)), ("D_sr", (2, 2)), ("D_sr", (1, 1))):
             got = getattr(engine, f"count_{kind}")(N, *params).count
-            assert got == oracles.mirrored_count(kind, N, *params), (kind, N, params)
+            check(kind, params, N, got, oracles.mirrored_count(kind, N, *params))
     x, marks = 5000, [2, 5, 29, 30, 31, 97, 1000, 4999, 5000]
     table = oracles.omega_table(x + 6)
     for a, b in ((1, 1), (2, 1), (2, 3)):
-        assert [r.count for r in ratio_scan("pi_1ab", (a, b), marks)] == [
-            len(oracles.brute_pi_1ab(m, a, b, table)) for m in marks]
+        check("pi_1ab", (a, b), x, [r.count for r in ratio_scan("pi_1ab", (a, b), marks)],
+              [len(oracles.brute_pi_1ab(m, a, b, table)) for m in marks])
     for r in (1, 2):
-        assert [res.count for res in ratio_scan("pi_1r", (r,), marks)] == [
-            len(oracles.brute_pi_1r(m, r, table)) for m in marks]
+        check("pi_1r", (r,), x, [res.count for res in ratio_scan("pi_1r", (r,), marks)],
+              [len(oracles.brute_pi_1r(m, r, table)) for m in marks])
 
 
 _PRIME_PATTERNS = (("pi_1ab", (1, 1)), ("pi_1r", (1,)), ("D_1ab", (1, 1)), ("D_1r", (1,)),
@@ -436,7 +474,7 @@ def test_class_wheels_are_slices_of_the_full_wheel():
                 wheel[n % p**k == 0] += engine._log_words(np.array([p]), k)[0]
     assert np.array_equal(engine._wheel(1, 0), wheel)
     for modulus in (2, 6, 30):
-        for residue in range(modulus):
+        for residue in (r for r in range(modulus) if math.gcd(r, modulus) == 1):
             assert np.array_equal(engine._wheel(modulus, residue), wheel[residue::modulus]), (
                 modulus, residue)
 
@@ -860,7 +898,7 @@ def test_ratio_scan_validation():
     with pytest.raises(DomainError):
         ratio_scan("pi_1ab", (1, 1), [100, 100])
     with pytest.raises(DomainError):
-        ratio_scan("pi_1ab", (1, 1), [10**9 + 1])
+        ratio_scan("pi_1ab", (1, 1), [10**10 + 1])
     with pytest.raises(DomainError):
         ratio_scan("nonsense", (1, 1), [100])
 
