@@ -22,29 +22,24 @@ serially in the calling process.  Every process that sieves builds its count's
 kernel once and sieves every segment it takes in one set of buffers sized by
 the count's largest segment, so a segment allocates nothing of its own size:
 each worker faults its buffers in once, not once per segment.  The process that
-takes the first unit also checks the few heads below it by trial division.
+takes the first unit also checks the few heads no block holds by trial division.
 
 All five counting kinds are rows of data in KINDS, bounds and main term alike,
-and run on one streaming loop with two block kernels, picked by the bounds.  A
-count reduces to masks over aligned reads of a segment: the triple count of
-primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b reads three.  With a
-bound of 2 or more the blocks hold Omega (_OmegaKernel, on a _Plan: int64 base
-primes, prime powers and scatter plan).  When every bound is 1 (pi_1ab 1 1,
-pi_1r 1, D_1ab 1 1, D_1r 1, D_sr 1 1) they hold primality, one byte a number
-(_PrimeKernel): each base prime strikes its multiples by one slice assignment,
-and the reads are ANDed as ints.  Each count sieves only the residue classes
-mod M, for a squarefree M in {1, 2, 6, 30} dividing the wheel period, that its
-bounds admit.  A position v = n + off (or N - n) in class c holds
+and run on one of two block sieves, picked by the bounds.  A count with a bound
+of 2 or more sieves Omega (_sieve_count, on an _OmegaKernel and its _Plan:
+int64 base primes, prime powers and scatter plan) and reduces to masks over
+aligned reads of a segment: the triple count of primes p <= x with
+Omega(p+2) <= a and Omega(p+6) <= b reads three.  It sieves only the residue
+classes mod M, for a squarefree M in {1, 2, 6, 30} dividing the wheel period,
+that its bounds admit.  A position v = n + off (or N - n) in class c holds
 g = gcd(c, M), and v > g gives Omega(v) >= omega(g) + 1, g being squarefree: so
 a class whose omega(g) reaches a position's bound (1 for a prime head) holds no
 counted n past the small ones, whose positions may equal g and are checked by
-trial division.  A prime triple's p, p + 2 and p + 6 then lie in 5 of the 30
-classes, and the twin primes in 6; a block of step M holds one class, one
-value per n = c + M i (an Omega block copies in that class's slice of the
-wheel).  Both kernels follow one rule: every sieved class is coprime to M, so
-M's primes divide none of its n and every other prime power q strikes every
-q-th index, and each block computes its start indices from its own first n.
-A modulus is a candidate only when every class its bounds leave to sieve is
+trial division.  A block of step M holds one class, one value per n = c + M i,
+and copies in that class's slice of the wheel.  Every sieved class is coprime
+to M, so M's primes divide none of its n and every other prime power q strikes
+every q-th index, and each block computes its start indices from its own first
+n.  A modulus is a candidate only when every class its bounds leave to sieve is
 coprime to it, which M = 1 always is; of the candidates, the modulus of the
 least cost wins, counting each class block's fixed cost as well as its words
 (_classes).  So the prime-headed counts whose bounds exclude little stay
@@ -58,9 +53,23 @@ by its k classes.  At 2^19 an Omega worker's buffers take 0.5 MiB of Omega
 arrays, 1 MiB for a mirrored count, and the plan's word block of one class,
 1 MiB / k.  The scatter's entries in the plan take 0.54 / 1.16 / 1.77 MiB near
 1e8 / 1e9 / 1e10 at k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power
-arrays 0.07 / 0.21 / 0.59 MiB more.  A primality worker's blocks take 0.5 MiB,
-1 MiB for a mirrored count, its fill and zero blocks 1 MiB / k, and a tally's
-ints and copies about three blocks of one class.
+arrays 0.07 / 0.21 / 0.59 MiB more.
+
+When every bound is 1 (pi_1ab 1 1, pi_1r 1, D_1ab 1 1, D_1r 1, D_sr 1 1) a count
+is a prime pattern, sieved as tuples, as in the prime k-tuple sieve of Hardy
+and Littlewood (_tuple_count, on a _TupleSieve; no numpy).  Its unit is one
+bytearray block of up to SEGMENT_SIZE heads n = c (mod M) of one admitted class
+c, in which each base prime p not dividing M strikes every position of the
+pattern by one slice: n, each n + off and, mirrored, N - n, a descending row.
+So a mirrored count walks every head in [2, N - 2] and pairs nothing, and the
+hits are bytes.count between cuts.  A block's fixed cost is its strikes, the
+positions times the base primes, so M is the primorial dividing the wheel
+period (1 to 30030) of the least cost (_tuple_classes): M = 30 near 1e6, 210
+near 1e8 (8 classes for a prime triple, 15 for the twins) and 2310 near 1e10.
+A tuple worker's traced memory is w + 2 ceil(w / p0) + 8 P bytes, for blocks of
+w heads, P base primes not dividing M and p0 the least of them: the block, which
+fills itself with ones by doubling copies, the zero run a strike copies and
+that copy, and an int64 inverse of M per base prime (0.57 MB near 1e8).
 
 This module imports no numpy, nor the quadrature, the sieve curves or the
 pipeline.  An Omega count imports numpy in the caller before its first fork,
@@ -90,14 +99,15 @@ from typing import BinaryIO, Callable, Iterable, NamedTuple, Sequence
 from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
-# words per streaming unit, split evenly over the classes it sieves (so 2^19 / 5
-# per class for a prime triple), read at each count.  Swept over 2^18, 2^19 and
-# 2^20 words of one class with perfbench/run.py (2 vCPUs, six 20 s runs each,
-# medians): peak_rss_mb 33.47 / 34.91 / 36.61 MB on count_mirror and 34.49 /
-# 34.55 / 35.56 MB on count_forward, wall_s 136 / 134 / 135 ms and 146 / 130 /
-# 133 ms.  2^19 halves a worker's buffers at no cost the harness can see; one
-# worker's odd blocks near 1e10 run ~490 Mword/s against ~520 at 2^20 and 300-400
-# at 2^18.  CHANGES.md has the sweep.
+# Omega words per streaming unit, split evenly over the classes it sieves, and
+# the most heads of a prime pattern's block, read at each count.  Swept, when
+# every count ran on Omega, over 2^18, 2^19 and 2^20 words of one class with
+# perfbench/run.py (2 vCPUs, six 20 s runs each, medians): peak_rss_mb 33.47 /
+# 34.91 / 36.61 MB on count_mirror and 34.49 / 34.55 / 35.56 MB on
+# count_forward, wall_s 136 / 134 / 135 ms and 146 / 130 / 133 ms.  2^19 halves
+# a worker's buffers at no cost the harness can see; one worker's odd blocks
+# near 1e10 run ~490 Mword/s against ~520 at 2^20 and 300-400 at 2^18.
+# CHANGES.md has the sweep.
 SEGMENT_SIZE = 1 << 19
 SEGMENT_CAP = 1 << 24  # largest range sieve_omega hands out at once
 MAX_SIEVE_BOUND = 10**10
@@ -165,16 +175,21 @@ _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 # count_mirror) and 64 was slower in process; 128 holds a count's scatter plan
 # to 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10, not 0.99 / 1.61 / 2.22.
 _SCATTER_HITS = 128
-# what one class block costs beyond its words, in words: the Omega kernel's
-# fit, applied to both kernels.  Fitted to 2-worker counts near 1e8 (2 vCPUs),
-# each forced onto M = 2, 6 and 30: pi_1ab (1,1), pi_1r 1, 2 and 33, all on the
-# Omega kernel then (pi_1ab 1 1 and pi_1r 1 now run on the primality kernel).
-# An Omega block's fixed cost (its powers' start indices, the strided calls and
-# one scatter entry per power) is ~50-60 us near 1e8, against ~1.4 ns a word;
-# near 1e10 it is ~3x that, so there the rule leans to more classes than it
-# should.
+# what one Omega class block costs beyond its words, in words.  Fitted to
+# 2-worker Omega counts near 1e8 (2 vCPUs), each forced onto M = 2, 6 and 30:
+# pi_1ab (1,1), pi_1r 1, 2 and 33.  An Omega block's fixed cost (its powers'
+# start indices, the strided calls and one scatter entry per power) is
+# ~50-60 us near 1e8, against ~1.4 ns a word; near 1e10 it is ~3x that, so
+# there the rule leans to more classes than it should.
 _CLASS_BLOCK_COST = 36_000
 _MODULI = (1, 2, 6, 30)  # the class moduli: squarefree, each dividing the next and the wheel period
+# the moduli of a prime pattern: the primorials that divide the wheel period
+_TUPLE_MODULI = (1, 2, 6, 30, 210, 2310, 30030)
+# what one base prime's strikes of a tuple block cost, in heads of the block.
+# Fitted to one-worker pi_1ab 1 1 counts at 99750000 in process (2 vCPUs),
+# forced onto M = 30, 210, 2310 and 30030: 50 / 30 / 89 / 624 ms, so ~0.76 us
+# a base prime and block for its three rows, against ~5.2 ns a head
+_STRIKE_COST = 150
 
 
 def _log_words(p: np.ndarray, k: int) -> np.ndarray:
@@ -595,6 +610,50 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
     return best[1] if best else _Classes(1, [1], [1], SEGMENT_SIZE)
 
 
+class _TupleLayout(NamedTuple):
+    """The class layout of a prime pattern: its modulus M, the residues c in
+    1 .. M of the heads n it sieves, and the heads per block."""
+
+    modulus: int
+    heads: list[int]
+    width: int
+
+
+def _tuple_classes(offsets: Sequence[int], size: int, mirrored: bool,
+                   base_primes: int) -> _TupleLayout:
+    """The layout of a prime pattern whose heads n have the positions n + off
+    for each off in offsets (0 among them) and, mirrored, N - n, with n <= x,
+    or n <= N - 2 mirrored, sieved by that many base primes.
+
+    A head class c is sieved when no position of its n is divisible by a prime
+    q of M, that is when c mod q is none of -off and N mod q: the admitted
+    residues of each q are independent, so the classes follow by the Chinese
+    remainder theorem and their number is the product of the residues' counts.
+    A class's heads fill blocks of at most SEGMENT_SIZE, split evenly.  M is the
+    modulus of _TUPLE_MODULI of the least cost, the smaller on a tie: over
+    every admitted class, _STRIKE_COST heads per block and base prime not
+    dividing M, and one per head.
+    """
+    limit = size - 2 if mirrored else size
+    best = None
+    for modulus in _TUPLE_MODULI:
+        primes = [q for q in _WHEEL_PRIMES if modulus % q == 0]
+        admitted = {q: {r for r in range(q) if all((r + off) % q for off in offsets)
+                        and not (mirrored and (size - r) % q == 0)} for q in primes}
+        heads = -(-limit // modulus)  # per class, at most
+        blocks = -(-heads // SEGMENT_SIZE)
+        strikes = blocks * max(base_primes - len(primes), 0)
+        cost = math.prod(map(len, admitted.values())) * (strikes * _STRIKE_COST + heads)
+        if best is None or cost < best[0]:
+            best = cost, modulus, admitted, -(-heads // max(blocks, 1))
+    _, modulus, admitted, width = best
+    classes, step = [0], 1
+    for q, residues in admitted.items():  # the c < step q that are c0 mod step and admitted mod q
+        classes = [c for c0 in classes for c in range(c0, step * q, step) if c % q in residues]
+        step *= q
+    return _TupleLayout(modulus, sorted((c - 1) % modulus + 1 for c in classes), max(width, 1))
+
+
 # one class's block in a process's buffers, as (values, sieve): values[j] is the
 # value of the n = first + step j once sieve(first, n) has sieved n of them, for
 # the row's step of +-M
@@ -643,65 +702,130 @@ class _OmegaKernel:
         return list(accumulate(int(np.count_nonzero(mask[a:b])) for a, b in zip([0, *cuts], cuts)))
 
 
-class _PrimeKernel:
-    """Primality per row, as bytes (1 for a prime, 0 else), for a count whose
-    every bound is 1; no numpy.
+class _TupleSieve:
+    """The block of one class of a prime pattern's heads, and the buffers it
+    is sieved in; built once in each process that sieves, no numpy.
 
-    Every n of a row is coprime to M, at least 2 and below the count's top, so
-    n is prime exactly when no base prime p but n itself divides it, and the
-    primes of M divide none.  Each other base prime strikes every p-th byte of
-    the block from its first multiple, by one slice assignment of that many
-    zero bytes; a block of first n and step +-M computes that index from n
-    alone, -+n M^-1 mod p, and a row keeps no state from block to block.  A
-    base prime among the block's own n (in the first units, or in a partner
-    block of a small N) is then set back to 1: a descending block reaches p^2
-    last, so a start at p^2 would not serve both directions.  A tally converts
-    each read to an int and ANDs them, so the hits are the set bytes:
-    int.bit_count when every cut is the block's end, else bytes.count between
-    cuts.
+    Index i of a block stands for the head n = n0 + M i.  Each position of n is
+    a row of values v0 + s i, with s = M for n and each n + off and s = -M for
+    N - n; every value is coprime to M, at least 2 and at most the count's
+    largest position, so it is prime exactly when no base prime but itself
+    divides it.  M is a primorial, so the base primes not dividing it are the
+    table past M's own.  Each of them strikes, in every row, the indices whose
+    value it divides, i = -v0 s^-1 (mod p) and every p-th one after, by one slice
+    assignment of that many zero bytes.  A value equal to p is spared: in an
+    ascending row it is the first multiple of p, in a descending one the last,
+    so the slice starts p later or stops before it.  Only a prime at or above a
+    row's least value can be one of its values, so the others skip the check.
+    The set bytes left are the heads whose every position is prime.
     """
 
-    def __init__(self, top: int, base_primes: Sequence[int], modulus: int, width: int):
-        self.primes = [p for p in base_primes if modulus % p]
-        self.inverse = [pow(modulus, -1, p) for p in self.primes]
-        self.modulus, self.width = modulus, width
-        self.ones = bytearray(b"\x01") * width
-        self.zero = bytearray(width)
+    def __init__(self, base_primes: Sequence[int], modulus: int, width: int):
+        self.primes = base_primes[sum(modulus % q == 0 for q in _WHEEL_PRIMES) :]
+        self.inverses = memoryview(bytearray(8 * len(self.primes))).cast("q")
+        for i, p in enumerate(self.primes):
+            self.inverses[i] = pow(modulus, -1, p)
+        self.block = bytearray(width)
+        self.view = memoryview(self.block)  # the fill copies through it: a bytearray slice copies
+        # the longest strike: ceil(width / p) bytes for the least prime p
+        self.zero = bytearray(-(-width // self.primes[0]) if len(self.primes) else 0)
 
-    def rows(self, classes: Sequence[int], step: int) -> dict[int, _Row]:
-        return {c: self._row(step) for c in classes}
+    def sieve(self, rows: Sequence[tuple[int, int]], span: int) -> bytearray:
+        """The block of span heads, 1 where every row (v0, s) holds a prime."""
+        block, zero, primes, inverses = self.block, self.zero, self.primes, self.inverses
+        block[0], filled = 1, 1
+        while filled < span:  # each copy doubles the ones, so the block needs no fill buffer
+            self.view[filled : min(2 * filled, span)] = self.view[: min(filled, span - filled)]
+            filled *= 2
+        for first, step in rows:
+            start = -first if step > 0 else first  # i = start M^-1 (mod p)
+            # the primes below the row's least value and at most span strike at
+            # least once and are none of its values
+            plain = min(bisect.bisect_left(primes, min(first, first + step * (span - 1))),
+                        bisect.bisect_right(primes, span))
+            for p, inverse in zip(primes[:plain], inverses[:plain]):
+                i = start * inverse % p
+                block[i:span:p] = zero[: (span - 1 - i) // p + 1]
+            for p, inverse in zip(primes[plain:], inverses[plain:]):
+                i, stop = start * inverse % p, span
+                j, r = divmod(p - first, step)  # the value at j is p
+                if r == 0 and 0 <= j < span:
+                    if j == i:
+                        i += p
+                    else:
+                        stop = j
+                if i < stop:
+                    block[i:stop:p] = zero[: (stop - 1 - i) // p + 1]
+        return block
 
-    def _row(self, step: int) -> _Row:
-        primes, inverses, zero, ones = self.primes, self.inverse, self.zero, self.ones
-        block = bytearray(self.width)
-        sign = step // self.modulus
 
-        def sieve(first: int, n: int) -> None:
-            block[:] = ones
-            start = -sign * first
-            for p, inverse in zip(primes, inverses):
-                i = start * inverse % p  # the index of the block's first multiple of p
-                if i < n:
-                    block[i:n:p] = zero[: (n - 1 - i) // p + 1]
-            for p in primes[bisect.bisect_left(primes, min(first, first + step * (n - 1))) :]:
-                j, r = divmod(p - first, step)
-                if r == 0 and 0 <= j < n:
-                    block[j] = 1
+def _counted(make_work: Callable[[], _Work], units: Sequence[tuple[int, int]],
+             length: int) -> list[int]:
+    """_unit_sum over units, on forked workers when a count has two or more
+    (thread_count, at most the CPUs and the units) and os.fork exists, else in
+    this process."""
+    workers = min(thread_count(), len(units), os.cpu_count() or 1)
+    if workers > 1 and hasattr(os, "fork"):
+        return _forked_sum(make_work, units, workers, length)
+    return _unit_sum(make_work, units, length).tolist()
 
-        return memoryview(block), sieve
 
-    def tally(self, reads: list[tuple[Sequence[int], int]], cuts: list[int]) -> list[int]:
-        """Per ascending cut, the j < cut whose values are 1 in every read (each
-        bound is 1)."""
-        k = cuts[-1]
-        (values, _), *rest = reads
-        bits = int.from_bytes(values[:k], "little")
-        for values, _ in rest:
-            bits &= int.from_bytes(values[:k], "little")
-        if cuts[0] == k:
-            return [bits.bit_count()] * len(cuts)
-        mask = bits.to_bytes(k, "little")
-        return list(accumulate(mask.count(1, a, b) for a, b in zip([0, *cuts], cuts)))
+def _tuple_count(marks: Sequence[int], offsets: tuple[int, ...], mirrored: bool) -> list[int]:
+    """Per mark, the primes n in [2, mark] with every n + off prime, off in
+    offsets (0 among them); mirrored, the one mark N counts the n in [2, N - 2]
+    with N - n prime as well.
+
+    A unit is one block of up to width heads n = lo + c + M i of one class c
+    that _tuple_classes admits, lo a multiple of M from 0: every head of the
+    class up to the last mark, or to N - 2, and no pairing.  Head 1, in the
+    first block of class 1, is not prime and is cleared.  A head of no admitted
+    class has a position divisible by a prime q of M, which is prime only if it
+    is q: so the n = q - off, and mirrored n = N - q, are the only such heads
+    that can count, and the process that takes the first unit checks them by
+    trial division, or the caller when a count has no units.
+    """
+    size = marks[-1]
+    limit = size - 2 if mirrored else size
+    base_primes = primes_up_to(math.isqrt(size + max(offsets)))  # no numpy: built before any fork
+    modulus, heads, width = _tuple_classes(offsets, size, mirrored, len(base_primes))
+    units = [(lo, c) for lo in range(0, limit, modulus * width) for c in heads if lo + c <= limit]
+
+    def rows(n: int) -> list[tuple[int, int]]:
+        """The rows of a block whose first head is n: each position's value at
+        n, and its step from head to head."""
+        return [(n + off, modulus) for off in offsets] + [(size - n, -modulus)] * mirrored
+
+    def small_heads() -> list[int]:
+        """Per mark, the hits among the heads of no admitted class."""
+        primes = [q for q in _WHEEL_PRIMES if modulus % q == 0]
+        small = {q - off for q in primes for off in offsets}
+        small |= {size - q for q in primes if mirrored}
+        hits = [n for n in small if 2 <= n <= limit
+                and all(_trial_omega(v, base_primes) == 1 for v, _ in rows(n))]
+        return [sum(n <= mark for n in hits) for mark in marks]
+
+    def make_work() -> _Work:
+        """work(unit) over one _TupleSieve that serves every unit this process
+        takes; built in that process."""
+        sieve = _TupleSieve(base_primes, modulus, width)
+
+        def work(unit: tuple[int, int]) -> list[int]:
+            n = sum(unit)  # the block's first head
+            span = min(width, (limit - n) // modulus + 1)
+            block = sieve.sieve(rows(n), span)
+            if n == 1:
+                block[0] = 0  # 1 is not prime
+            cuts = [min(span, max(0, (mark - n) // modulus + 1)) for mark in marks]
+            total = list(accumulate(block.count(1, a, b) for a, b in zip([0, *cuts], cuts)))
+            if unit == units[0]:  # its process also counts the heads of no admitted class
+                total = [a + b for a, b in zip(total, small_heads())]
+            return total
+
+        return work
+
+    if not units:
+        return small_heads()
+    return _counted(make_work, units, len(marks))
 
 
 def _sieve_count(
@@ -726,15 +850,14 @@ def _sieve_count(
     takes the first unit (lo = M), which they sit just below, or by the caller
     when a count has no units.
 
-    Two block kernels serve this one loop, picked by the bounds: a count whose
-    every bound is 1 needs only primality, sieved in bytes (_PrimeKernel, no
-    numpy); any bound of 2 or more takes Omega (_OmegaKernel).  Each process
-    that sieves builds one kernel and one set of rows, sized by the longest
-    unit, so memory is O(segment) per worker for every kind and a unit
-    allocates nothing of that size.  A forking caller builds none of them: it
-    builds the prime table, which its workers inherit, imports numpy for an
-    Omega count so that they share its pages, forks, then adds the workers'
-    sums as ints, so the result does not depend on the worker count.
+    This loop serves the counts with a bound of 2 or more (a prime pattern
+    sieves tuples: _tuple_count).  Each process that sieves builds one
+    _OmegaKernel and one set of rows, sized by the longest unit, so memory is
+    O(segment) per worker for every kind and a unit allocates nothing of that
+    size.  A forking caller builds none of them: it builds the prime table,
+    which its workers inherit, imports numpy so that they share its pages,
+    forks, then adds the workers' sums as ints, so the result does not depend
+    on the worker count.
     """
     size = marks[-1]
     limit = size if mirror is None else size // 2
@@ -746,7 +869,6 @@ def _sieve_count(
     units = [(lo, min(words, (limit - lo - 1) // modulus + 1))
              for lo in range(modulus, limit, modulus * words)]
     width = max((span for _, span in units), default=0) + padw
-    primality = max(head, mirror or 1, *(bound for _, bound in forward)) == 1
 
     def residue(n: int) -> int:
         return (n - 1) % modulus + 1
@@ -765,7 +887,7 @@ def _sieve_count(
         """work(unit) over one kernel and one set of rows that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        kernel = (_PrimeKernel if primality else _OmegaKernel)(top, base_primes, modulus, width)
+        kernel = _OmegaKernel(top, base_primes, modulus, width)
         # per sieved class, n ascending, and per class of n, N - n descending from the pad on
         lower = kernel.rows(needed, modulus)
         upper = {} if mirror is None else kernel.rows([residue(size - c) for c in needed], -modulus)
@@ -815,12 +937,9 @@ def _sieve_count(
 
     if not units:
         return small_heads()
-    workers = min(thread_count(), len(units), os.cpu_count() or 1)
-    if workers > 1 and hasattr(os, "fork"):
-        if not primality:
-            import numpy  # noqa: F401  (before the fork, so that every worker shares its pages)
-        return _forked_sum(make_work, units, workers, len(marks))
-    return _unit_sum(make_work, units, len(marks)).tolist()
+    import numpy  # noqa: F401  (before any fork, so that every worker shares its pages)
+
+    return _counted(make_work, units, len(marks))
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +961,14 @@ def _results(kind: str, params: Sequence[int], sizes: Sequence[int]) -> list[Tri
         return []
     head = named[spec.head] if spec.head else 1  # a prime head
     forward = tuple((off, named[name]) for off, name in spec.forward)
-    if spec.mirror is None:
-        counts = _sieve_count(sizes, head, forward, None)
-    else:  # each N pairs different segments
-        counts = [_sieve_count([N], head, forward, named[spec.mirror])[0] for N in sizes]
+    mirror = named[spec.mirror] if spec.mirror else None
+    if max(head, mirror or 1, *(bound for _, bound in forward)) == 1:  # a prime pattern
+        count = functools.partial(_tuple_count, offsets=(0, *(off for off, _ in forward)),
+                                  mirrored=mirror is not None)
+    else:
+        count = functools.partial(_sieve_count, head=head, forward=forward, mirror=mirror)
+    # a mirrored kind counts each N on its own: its positions N - n differ
+    counts = count(sizes) if mirror is None else [count([N])[0] for N in sizes]
     return [TripleCountResult(kind, size, named, count, _predicted(spec, size, named))
             for size, count in zip(sizes, counts)]
 

@@ -663,7 +663,7 @@ def test_count_loads_only_the_engine():
 @pytest.mark.parametrize("kind, params", [("pi_1ab", ("1", "1")), ("pi_1r", ("1",)),
                                           ("D_1ab", ("1", "1")), ("D_1r", ("1",)), ("D_sr", ("1", "1"))])
 def test_a_prime_pattern_never_loads_numpy(kind, params):
-    # every bound 1 needs only primality, which the engine sieves in bytes
+    # every bound 1 needs only primality, which the engine sieves as tuples in bytes
     for argv in (("count", kind, "100000", *params), ("ratio", kind, *params, "--checkpoints", "1e3,1e5")):
         imported = _imported_by("-m", "triplesieve", *argv, "--no-timestamp")
         assert "triplesieve.engine" in imported and "numpy" not in imported, argv

@@ -368,6 +368,9 @@ def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
 
     def check(kind, params, size, got, want):
         assert got == want, (kind, size, params)
+        if max(params) == 1:  # a prime pattern sieves tuples and takes no Omega layout
+            assert not taken, (kind, size, params)
+            return
         shared = any(math.gcd(v, modulus) > 1 for v in _shared_residues(kind, params, size))
         assert taken.pop().modulus == (1 if shared else modulus), (kind, size, params)
 
@@ -391,15 +394,20 @@ _PRIME_PATTERNS = (("pi_1ab", (1, 1)), ("pi_1r", (1,)), ("D_1ab", (1, 1)), ("D_1
                    ("D_sr", (1, 1)))
 
 
+def _tuple_layout(offsets, size, mirrored):
+    """The tuple layout of a prime pattern, sieved by its count's base primes."""
+    base_primes = primes_up_to(math.isqrt(size + offsets[-1]))
+    return engine._tuple_classes(offsets, size, mirrored, len(base_primes))
+
+
 def _unit_edges(kind, size):
-    """The starts of the first few units of a prime pattern at size, each with
-    its neighbours, and size: marks for a forward scan; doubled, mirrored N
-    whose N/2 lies on or beside a unit edge."""
+    """The edges lo of the first few units of a prime pattern at size, each
+    with its neighbours, and size: marks for a forward scan, or mirrored N whose
+    last heads sit on or beside a unit edge."""
     spec = engine.KINDS[kind]
-    layout = engine._classes(1, tuple((off, 1) for off, _ in spec.forward),
-                             1 if spec.mirror else None, size)
-    edges = range(layout.modulus, size, layout.modulus * layout.words)[:4]
-    return sorted({edge + d for edge in edges for d in (-1, 0, 1)} | {size})
+    layout = _tuple_layout((0, *(off for off, _ in spec.forward)), size, bool(spec.mirror))
+    step = layout.modulus * layout.width
+    return sorted({edge + d for edge in range(step, size, step)[:4] for d in (-1, 0, 1)} | {size})
 
 
 def _prime_pattern_counts(sizes, x):
@@ -413,28 +421,41 @@ def _prime_pattern_counts(sizes, x):
     return mirrored, scans
 
 
-@pytest.mark.parametrize("modulus", [1, 2, 6, 30])
+@pytest.mark.parametrize("modulus", engine._TUPLE_MODULI)
 @pytest.mark.parametrize("segment", [7, 1001, 2**14])
 def test_prime_patterns_count_the_same_through_both_kernels(monkeypatch, modulus, segment):
-    # every bound 1 runs on the primality kernel; the Omega kernel, given the same
-    # counts, is the reference.  Each count forced onto one modulus, over many
-    # units: N of each residue mod 30 that moves the classes (0, 2, 10, 20), N/2
-    # on unit edges, the small N whose partner blocks hold base primes, and
-    # forward scans with marks on unit edges
-    monkeypatch.setattr(engine, "_MODULI", (modulus,))
+    # every bound 1 sieves tuples of primes; the Omega rows, given the same
+    # counts, are the reference.  Each count forced onto one tuple modulus, over
+    # many units: N of each residue mod 30 that moves the classes (0, 2, 10,
+    # 20), N on and beside unit edges, the small N whose heads near N have N - n
+    # a base prime (22 to 532: 5, 7, 11, 13, 17, 19 and 23) or a prime of M,
+    # and forward scans with marks on unit edges
+    monkeypatch.setattr(engine, "_TUPLE_MODULI", (modulus,))
     monkeypatch.setattr(engine, "SEGMENT_SIZE", segment)
     x = 2100 if segment == 7 else 300_000
-    sizes = [4, 6, 8, 10, 30, 32, 62, 64, 90, *(x + d for d in (0, 2, 10, 20))]
-    sizes += [2 * n for n in _unit_edges("D_1r", x // 2)[:-1] if n > 2]
+    sizes = [4, 6, 8, 10, 22, 28, 30, 32, 44, 50, 62, 64, 90, 118, 124, 164, 170, 288, 294, 366,
+             526, 532, *(x + d for d in (0, 2, 10, 20))]
+    sizes += [n + 2 for n in _unit_edges("D_1r", x)[:-1] if n % 2 == 0]  # last heads on an edge
     counts = _prime_pattern_counts(sizes, x)
-    monkeypatch.setattr(engine, "_PrimeKernel", engine._OmegaKernel)
+
+    def rows_count(marks, offsets, mirrored):
+        forward = tuple((off, 1) for off in offsets[1:])
+        return engine._sieve_count(marks, 1, forward, 1 if mirrored else None)
+
+    monkeypatch.setattr(engine, "_tuple_count", rows_count)
     assert counts == _prime_pattern_counts(sizes, x)
 
 
 @pytest.mark.parametrize("count, modulus, heads, needed", [
-    # a prime triple's p, p + 2 and p + 6 are prime only in 5 of the 30 classes
-    ((1, ((2, 1), (6, 1)), None, 10**8), 30, [11, 17], [11, 13, 17, 19, 23]),
-    ((1, ((2, 1),), None, 10**8), 30, [11, 17, 29], [1, 11, 13, 17, 19, 29]),
+    # a prime triple's p, p + 2 and p + 6 are prime only in 8 of the 210 classes,
+    # whose 22 position classes its rows run through
+    ((1, ((2, 1), (6, 1)), None, 10**8), 210, [11, 17, 41, 101, 107, 137, 167, 191],
+     [11, 13, 17, 19, 23, 41, 43, 47, 101, 103, 107, 109, 113, 137, 139, 143, 167, 169, 173, 191,
+      193, 197]),
+    ((1, ((2, 1),), None, 10**8), 210,
+     [11, 17, 29, 41, 59, 71, 101, 107, 137, 149, 167, 179, 191, 197, 209],
+     [1, 11, 13, 17, 19, 29, 31, 41, 43, 59, 61, 71, 73, 101, 103, 107, 109, 137, 139, 149, 151,
+      167, 169, 179, 181, 191, 193, 197, 199, 209]),
     ((1, (), 1, 3 * 10**6 + 2), 30, [1, 13, 19], [1, 13, 19]),
     ((1, ((6, 2),), 2, 99750000), 6, [1, 5], [1, 5]),  # 10/30 at M = 30: a tie
     ((1, ((6, 2),), 2, 99875000), 2, [1], [1]),
@@ -445,7 +466,20 @@ def test_prime_patterns_count_the_same_through_both_kernels(monkeypatch, modulus
     ((2, (), 3, 10**8), 1, [1], [1]),
 ])
 def test_classes_follow_the_bounds(count, modulus, heads, needed):
-    assert engine._classes(*count)[:3] == (modulus, heads, needed)
+    head, forward, mirror, size = count
+    if max(head, mirror or 1, *(bound for _, bound in forward)) > 1:
+        assert engine._classes(*count)[:3] == (modulus, heads, needed)
+        return
+    # a prime pattern sieves its heads' classes as tuples; needed are the classes
+    # of every position of those heads, all coprime to M
+    offsets = (0, *(off for off, _ in forward))
+    layout = _tuple_layout(offsets, size, mirror is not None)
+    residues = {(c + off) % modulus for c in layout.heads for off in offsets}
+    if mirror is not None:
+        residues |= {(size - c) % modulus for c in layout.heads}
+    assert (layout.modulus, layout.heads) == (modulus, heads)
+    assert sorted((r - 1) % modulus + 1 for r in residues) == needed
+    assert all(math.gcd(r, modulus) == 1 for r in needed)
 
 
 def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
@@ -462,6 +496,33 @@ def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
             tracemalloc.stop()
     # a full array to N would be N bytes; two padded 2^16 segments need ~1.5 MB
     assert max(peaks) < 3 * 2**20, peaks
+
+
+@pytest.mark.parametrize("kind, params, size", [
+    ("pi_1ab", (1, 1), 10**6), ("pi_1ab", (1, 1), 10**8), ("D_1ab", (1, 1), 10**6),
+    ("D_1r", (1,), 10**8 + 2),
+])
+def test_a_prime_pattern_peaks_at_one_block_and_its_strike_buffers(monkeypatch, kind, params, size):
+    # the engine docstring's budget w + 2 ceil(w / p0) + 8 P for blocks of w
+    # heads, P base primes not dividing M and p0 the least of them, against the
+    # traced peak of a count sieved in this process
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    count = getattr(engine, f"count_{kind}")
+    count(size, *params)  # the prime table and the predictor's constant are built once
+    tracemalloc.start()
+    try:
+        count(size, *params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spec = engine.KINDS[kind]
+    offsets = (0, *(off for off, _ in spec.forward))
+    base_primes = primes_up_to(math.isqrt(size + offsets[-1]))
+    layout = engine._tuple_classes(offsets, size, bool(spec.mirror), len(base_primes))
+    own = sum(layout.modulus % q == 0 for q in engine._WHEEL_PRIMES)  # M's primes come first
+    w, p0, primes = layout.width, base_primes[own], len(base_primes) - own
+    budget = w + 2 * -(-w // p0) + 8 * primes
+    assert 0 <= peak - budget < 8 * 1024, (peak, budget)
 
 
 def test_class_wheels_are_slices_of_the_full_wheel():
@@ -592,12 +653,14 @@ def _every_kind(x):
 
 
 def _every_prime_pattern(x):
-    """The five kinds at bound 1, which run on the primality kernel, and a twin
-    scan whose marks sit on either side of M = 2 unit edges."""
+    """The five kinds at bound 1, which sieve tuples, and a twin scan whose
+    marks sit on and beside its unit edges at x = 1e6 in 2^14-head blocks (M = 30,
+    blocks of 11112 heads)."""
     return (
         count_pi_1ab(x, 1, 1).count, count_D_1ab(x, 1, 1).count, count_pi_1r(x, 1).count,
         count_D_1r(x, 1).count, count_D_sr(x, 1, 1).count,
-        [r.count for r in ratio_scan("pi_1r", (1,), [10, 1000, 32769, 32770, 65537, 500001, x])],
+        [r.count for r in ratio_scan("pi_1r", (1,), [10, 1000, 333359, 333360, 333361, 500001,
+                                                      666719, 666720, 666721, x])],
     )
 
 
@@ -687,8 +750,8 @@ _FORKING_CALLER_PEAK = 32 * 1024
 def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     # the caller builds the prime table, forks two workers, which inherit it,
     # adds their sums as ints and runs the predictor; the workers build the
-    # kernels (a plan for Omega, primality's for a bound of 1 everywhere) and
-    # check the small heads
+    # kernels (a plan for Omega, a _TupleSieve for a prime pattern) and check
+    # the small heads
     size = 10**6 if max(params) == 1 else 200_000
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)  # at least 4 units per count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -697,7 +760,7 @@ def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "2")
     primes_up_to.cache_clear()  # the caller's table is built inside the peak's window
     caller = os.getpid()
-    with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan", "_PrimeKernel") as calls:
+    with _calls(monkeypatch, "primes_up_to", "_trial_omega", "_Plan", "_TupleSieve") as calls:
         tracemalloc.start()
         try:
             forked = ratio_scan(kind, params, [size])
@@ -708,8 +771,8 @@ def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     assert [pid for name, pid in calls if name == "primes_up_to"] == [caller]
     sievers = {pid for name, pid in calls if name != "primes_up_to"}
     assert len(sievers) == 2 and caller not in sievers, calls
-    kernel = "_PrimeKernel" if max(params) == 1 else "_Plan"
-    kernels = [call for call in calls if call[0] in ("_Plan", "_PrimeKernel")]
+    kernel = "_TupleSieve" if max(params) == 1 else "_Plan"
+    kernels = [call for call in calls if call[0] in ("_Plan", "_TupleSieve")]
     assert sorted(kernels) == sorted((kernel, pid) for pid in sievers), calls  # one per worker
     assert peak < _FORKING_CALLER_PEAK, peak
     _no_child_left()
