@@ -26,56 +26,71 @@ takes the first unit also checks the few heads no block holds by trial division.
 
 All five counting kinds are rows of data in KINDS, bounds and main term alike,
 and run on one of two block sieves, picked by the bounds.  A count with a bound
-of 2 or more sieves Omega (_sieve_count, on an _OmegaKernel and its _Plan:
-int64 base primes, prime powers and scatter plan) and reduces to masks over
-aligned reads of a segment: the triple count of primes p <= x with
-Omega(p+2) <= a and Omega(p+6) <= b reads three.  It sieves only the residue
-classes mod M, for a squarefree M in {1, 2, 6, 30} dividing the wheel period,
-that its bounds admit.  A position v = n + off (or N - n) in class c holds
-g = gcd(c, M), and v > g gives Omega(v) >= omega(g) + 1, g being squarefree: so
-a class whose omega(g) reaches a position's bound (1 for a prime head) holds no
-counted n past the small ones, whose positions may equal g and are checked by
-trial division.  A block of step M holds one class, one value per n = c + M i,
-and copies in that class's slice of the wheel.  Every sieved class is coprime
-to M, so M's primes divide none of its n and every other prime power q strikes
-every q-th index, and each block computes its start indices from its own first
-n.  A modulus is a candidate only when every class its bounds leave to sieve is
-coprime to it, which M = 1 always is; of the candidates, the modulus of the
-least cost wins, counting each class block's fixed cost as well as its words
-(_classes).  So the prime-headed counts whose bounds exclude little stay
-odd-only (M = 2), and D_sr with s, r >= 2, whose head is any n, keeps every
-integer (M = 1), as does sieve_omega.  The mirrored kinds (N - p almost-prime)
-pair each unit below N/2 with its mirror above, class by class, so memory stays
-bounded by the segment size, not by N.  The mirror's blocks run descending, so
-every mask of a pair reads its blocks forwards (a negative-stride compare of
-2^20 bytes runs ~13x slower).  SEGMENT_SIZE counts the values of a unit, shared
-by its k classes.  At 2^19 an Omega worker's buffers take 0.5 MiB of Omega
-arrays, 1 MiB for a mirrored count, and the plan's word block of one class,
-1 MiB / k.  The scatter's entries in the plan take 0.54 / 1.16 / 1.77 MiB near
-1e8 / 1e9 / 1e10 at k = 1, 0.34 / 0.49 / 0.69 MiB at k = 5, and its per-power
-arrays 0.07 / 0.21 / 0.59 MiB more.
+of 3 or more sieves Omega (_sieve_count, on a _Plan: int64 base primes, prime
+powers and scatter plan) and reduces to masks over aligned reads of a segment:
+the triple count of primes p <= x with Omega(p+2) <= a and Omega(p+6) <= b
+reads three.  It sieves only the residue classes mod M, for a squarefree M in
+{1, 2, 6, 30} dividing the wheel period, that its bounds admit.  A position
+v = n + off (or N - n) in class c holds g = gcd(c, M), and v > g gives
+Omega(v) >= omega(g) + 1, g being squarefree: so a class whose omega(g) reaches
+a position's bound (1 for a prime head) holds no counted n past the small ones,
+whose positions may equal g and are checked by trial division.  A block of step
+M holds one class, one value per n = c + M i, and copies in that class's slice
+of the wheel.  Every sieved class is coprime to M, so M's primes divide none of
+its n and every other prime power q strikes every q-th index, and each block
+computes its start indices from its own first n.  A modulus is a candidate only
+when every class its bounds leave to sieve is coprime to it, which M = 1 always
+is; of the candidates, the modulus of the least cost wins, counting each class
+block's fixed cost as well as its words (_classes).  So the prime-headed counts
+whose bounds exclude little stay odd-only (M = 2), and D_sr whose head is any
+n keeps every integer (M = 1), as does sieve_omega.  The mirrored kinds (N - p
+almost-prime) pair each unit below N/2 with its mirror above, class by class,
+so memory stays bounded by the segment size, not by N.  The mirror's blocks run
+descending, so every mask of a pair reads its blocks forwards (a
+negative-stride compare of 2^20 bytes runs ~13x slower).  SEGMENT_SIZE counts
+the values of a unit, shared by its k classes.  At 2^19 an Omega worker's
+buffers take 0.5 MiB of Omega arrays, 1 MiB for a mirrored count, and the
+plan's word block of one class, 1 MiB / k.  The scatter's entries in the plan
+take 0.54 / 1.16 / 1.77 MiB near 1e8 / 1e9 / 1e10 at k = 1, 0.34 / 0.49 /
+0.69 MiB at k = 5, and its per-power arrays 0.07 / 0.21 / 0.59 MiB more.
 
-When every bound is 1 (pi_1ab 1 1, pi_1r 1, D_1ab 1 1, D_1r 1, D_sr 1 1) a count
-is a prime pattern, sieved as tuples, as in the prime k-tuple sieve of Hardy
-and Littlewood (_tuple_count, on a _TupleSieve; no numpy).  Its unit is one
+When every bound is 1 or 2 (pi_1ab, D_1ab and D_sr up to (2, 2), pi_1r and
+D_1r up to 2) a count sieves tuples, as in the prime k-tuple sieve of Hardy and
+Littlewood (_tuple_count, on a _TupleSieve; no numpy).  Its unit is one
 bytearray block of up to SEGMENT_SIZE heads n = c (mod M) of one admitted class
-c, in which each base prime p not dividing M strikes every position of the
-pattern by one slice: n, each n + off and, mirrored, N - n, a descending row.
-So a mirrored count walks every head in [2, N - 2] and pairs nothing, and the
-hits are bytes.count between cuts.  A block's fixed cost is its strikes, the
-positions times the base primes, so M is the primorial dividing the wheel
-period (1 to 30030) of the least cost (_tuple_classes): M = 30 near 1e6, 210
-near 1e8 (8 classes for a prime triple, 15 for the twins) and 2310 near 1e10.
-A tuple worker's traced memory is w + 2 ceil(w / p0) + 8 P bytes, for blocks of
-w heads, P base primes not dividing M and p0 the least of them: the block, which
-fills itself with ones by doubling copies, the zero run a strike copies and
-that copy, and an int64 inverse of M per base prime (0.57 MB near 1e8).
+c, a byte per head, in which each base prime p not dividing M strikes every
+position of the pattern by slices: n, each n + off and, mirrored, N - n, a
+descending row.  At bound 1 a position must be prime, and p zeroes the heads
+whose value it divides, the value p itself spared.  At bound 2 a position owns
+one bit of the byte and counts events, each translating the bytes it strikes
+(bit clear -> set, set -> 0): p | v with p^2 <= v, p^2 | v with v != p^2, and
+g | v and g^2 | v with v != g^2 for the prime g of M that divides the row's
+class, if one does, the first preset in the byte.  Omega(v) <= 2 exactly when
+v has at most one event (the proof is in _TupleSieve).  A class is admitted
+when each of its positions has fewer primes of M than its bound, and the heads
+of the others that can count, whose position equals a prime of M or, at bound
+2, a product of two, are checked by trial division.  So a mirrored count walks
+every head in [2, N - 2], or to N/2 when n and N - n trade places (D_sr s s,
+D_1r 1), and pairs nothing, and the hits are the nonzero bytes between cuts.  A
+block's fixed cost is its strikes, the positions times the base primes, so M is
+the primorial dividing the wheel period (1 to 30030) of the least cost
+(_tuple_classes): for a prime triple M = 30 near 1e6 and 210 near 1e8 (8
+classes; 15 for the twins), and 2310 near 1e10; for D_1ab 2 2, M = 6 near 1e6,
+210 near 1e8 (28 to 38 classes, by N mod 3, 5 and 7) and 2310 near 1e9.  A
+tuple worker's traced memory is w + 2 ceil(w / p0) + 8 P bytes when every bound
+is 1, for blocks of w heads, P base primes not dividing M and p0 the least of
+them: the block, which fills itself by doubling copies, the zero run a strike
+copies and that copy, and an int64 inverse of M per base prime (0.57 MB near
+1e8).  With a bound of 2 it is w + 3 ceil(w / p0) + 8 (P + Q): a translate
+strike holds the slice it gathers and its translation beside the zero run (g's
+run in pieces of at most ceil(w / p0)), and the Q base primes up to the cube
+root of the largest value keep an inverse of M mod their squares.
 
 This module imports no numpy, nor the quadrature, the sieve curves or the
 pipeline.  An Omega count imports numpy in the caller before its first fork,
 so that every worker shares its pages, or in the one process that sieves; a
-count whose bounds are all 1 never loads it.  The Euler products of constants
-load with the first predictor that names one (D_1ab's names none), and
+count whose bounds are all 1 or 2 never loads it.  The Euler products of
+constants load with the first predictor that names one (D_1ab's names none), and
 ``import triplesieve`` itself loads none of them until a public name is used.
 A forked count's peak RSS is its caller's: os.wait4 reports the largest
 process of the tree, and a worker faults in only the file-backed pages it runs
@@ -100,7 +115,7 @@ from .errors import CapacityError, DomainError
 from .primes import primes_up_to
 
 # Omega words per streaming unit, split evenly over the classes it sieves, and
-# the most heads of a prime pattern's block, read at each count.  Swept, when
+# the most heads of a tuple count's block, read at each count.  Swept, when
 # every count ran on Omega, over 2^18, 2^19 and 2^20 words of one class with
 # perfbench/run.py (2 vCPUs, six 20 s runs each, medians): peak_rss_mb 33.47 /
 # 34.91 / 36.61 MB on count_mirror and 34.49 / 34.55 / 35.56 MB on
@@ -183,7 +198,7 @@ _SCATTER_HITS = 128
 # there the rule leans to more classes than it should.
 _CLASS_BLOCK_COST = 36_000
 _MODULI = (1, 2, 6, 30)  # the class moduli: squarefree, each dividing the next and the wheel period
-# the moduli of a prime pattern: the primorials that divide the wheel period
+# the moduli of a tuple count: the primorials that divide the wheel period
 _TUPLE_MODULI = (1, 2, 6, 30, 210, 2310, 30030)
 # what one base prime's strikes of a tuple block cost, in heads of the block.
 # Fitted to one-worker pi_1ab 1 1 counts at 99750000 in process (2 vCPUs),
@@ -482,7 +497,7 @@ def _fork_worker(make_work: Callable[[], _Work],
         with warnings.catch_warnings():
             # NumPy's BLAS keeps idle threads from import, so Python 3.12+ warns at
             # every fork of a caller that has loaded numpy (an Omega count's does,
-            # a prime pattern's does not).  The child runs only kernel code on its
+            # a tuple count's does not).  The child runs only kernel code on its
             # own buffers, then writes its pipe and calls os._exit: no lock of
             # another thread is taken.
             warnings.filterwarnings(
@@ -611,7 +626,7 @@ def _classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None
 
 
 class _TupleLayout(NamedTuple):
-    """The class layout of a prime pattern: its modulus M, the residues c in
+    """The class layout of a tuple count: its modulus M, the residues c in
     1 .. M of the heads n it sieves, and the heads per block."""
 
     modulus: int
@@ -619,125 +634,144 @@ class _TupleLayout(NamedTuple):
     width: int
 
 
-def _tuple_classes(offsets: Sequence[int], size: int, mirrored: bool,
-                   base_primes: int) -> _TupleLayout:
-    """The layout of a prime pattern whose heads n have the positions n + off
-    for each off in offsets (0 among them) and, mirrored, N - n, with n <= x,
-    or n <= N - 2 mirrored, sieved by that many base primes.
+def _tuple_classes(head: int, forward: tuple[tuple[int, int], ...], mirror: int | None,
+                   size: int, limit: int, base_primes: int) -> _TupleLayout:
+    """The layout of a count whose every bound is 1 or 2: heads n <= limit
+    whose positions are n, each n + off and, mirrored, N - n, sieved by that
+    many base primes.
 
-    A head class c is sieved when no position of its n is divisible by a prime
-    q of M, that is when c mod q is none of -off and N mod q: the admitted
-    residues of each q are independent, so the classes follow by the Chinese
-    remainder theorem and their number is the product of the residues' counts.
-    A class's heads fill blocks of at most SEGMENT_SIZE, split evenly.  M is the
-    modulus of _TUPLE_MODULI of the least cost, the smaller on a tie: over
-    every admitted class, _STRIKE_COST heads per block and base prime not
-    dividing M, and one per head.
+    A head class c is admitted when each position of its n has fewer primes of
+    M dividing it than its bound: none at bound 1, at most one at bound 2.  The
+    residues of M's primes q are independent (Chinese remainder theorem), but a
+    bound of 2 ties them, so the admitted classes are counted prime by prime of
+    M, keyed by the positions that one of the primes so far divides (as bits),
+    and only the winner's are listed.  A class's heads fill blocks of at most
+    SEGMENT_SIZE, split evenly.  M is the modulus of _TUPLE_MODULI of the least
+    cost, the smaller on a tie: over every admitted class, _STRIKE_COST heads
+    per block and base prime not dividing M, and one per head.
     """
-    limit = size - 2 if mirrored else size
+    offsets = (0, *(off for off, _ in forward))
+    # the positions of bound 1, as bits: one prime of M dividing them is too many
+    ones = sum(1 << j for j, bound in enumerate((head, *(b for _, b in forward), mirror)) if bound == 1)
+    # per prime q of the wheel and residue r, the positions that q divides at a
+    # head n = r (mod q), as bits: N - n last
+    hits = {q: [sum(1 << j for j, v in enumerate([r + off for off in offsets] + [size - r] * bool(mirror))
+                    if v % q == 0) for r in range(q)] for q in _WHEEL_PRIMES}
     best = None
     for modulus in _TUPLE_MODULI:
         primes = [q for q in _WHEEL_PRIMES if modulus % q == 0]
-        admitted = {q: {r for r in range(q) if all((r + off) % q for off in offsets)
-                        and not (mirrored and (size - r) % q == 0)} for q in primes}
+        tallies = {0: 1}  # admitted classes so far, by the positions seen
+        for q in primes:
+            grow: dict[int, int] = {}
+            for seen, number in tallies.items():
+                for hit in hits[q]:
+                    if not hit & (seen | ones):
+                        grow[seen | hit] = grow.get(seen | hit, 0) + number
+            tallies = grow
         heads = -(-limit // modulus)  # per class, at most
         blocks = -(-heads // SEGMENT_SIZE)
         strikes = blocks * max(base_primes - len(primes), 0)
-        cost = math.prod(map(len, admitted.values())) * (strikes * _STRIKE_COST + heads)
+        cost = sum(tallies.values()) * (strikes * _STRIKE_COST + heads)
         if best is None or cost < best[0]:
-            best = cost, modulus, admitted, -(-heads // max(blocks, 1))
-    _, modulus, admitted, width = best
-    classes, step = [0], 1
-    for q, residues in admitted.items():  # the c < step q that are c0 mod step and admitted mod q
-        classes = [c for c0 in classes for c in range(c0, step * q, step) if c % q in residues]
+            best = cost, modulus, primes, -(-heads // max(blocks, 1))
+    _, modulus, primes, width = best
+    classes, step = [(0, 0)], 1
+    for q in primes:  # the c < step q that are c0 mod step and admitted mod q
+        classes = [(c, seen | hit) for c0, seen in classes for c in range(c0, step * q, step)
+                   if not (hit := hits[q][c % q]) & (seen | ones)]
         step *= q
-    return _TupleLayout(modulus, sorted((c - 1) % modulus + 1 for c in classes), max(width, 1))
+    return _TupleLayout(modulus, sorted((c - 1) % modulus + 1 for c, _ in classes), max(width, 1))
 
 
-# one class's block in a process's buffers, as (values, sieve): values[j] is the
-# value of the n = first + step j once sieve(first, n) has sieved n of them, for
-# the row's step of +-M
-_Row = tuple[Sequence[int], Callable[[int, int], None]]
+@functools.cache
+def _events(bit: int) -> bytes:
+    """The translation table of one more event at a bound-2 row's bit: a
+    counting byte (bit 0 set) without the bit gains it, one with it drops to 0,
+    the head out, and 0 stays 0.  Built once in each process that sieves."""
+    return bytes(x | bit if x & 1 and not x & bit else 0 for x in range(256))
 
 
-class _OmegaKernel:
-    """Omega(n) per row, in uint8, for a count with a bound of 2 or more: one
-    _Plan serves every row of the process, and the masks of a tally live in the
-    plan's word buffer, which a tally reads only once every block of its unit is
-    sieved.  A descending row writes its block reversed, so every mask reads its
-    rows forwards."""
-
-    def __init__(self, top: int, base_primes: Sequence[int], modulus: int, width: int):
-        import numpy as np
-
-        self.plan = _Plan(top, base_primes, modulus, width)
-        self.masks = self.plan.block.view(np.bool_)  # 2 (width + 1) bytes hold two spans
-        self.width = width
-
-    def rows(self, classes: Sequence[int], step: int) -> dict[int, _Row]:
-        import numpy as np
-
-        def row(values: np.ndarray) -> _Row:
-            def sieve(first: int, n: int) -> None:
-                if step > 0:
-                    _omega_block(first, first + step * (n - 1) + 1, self.plan, out=values[:n])
-                else:
-                    _omega_block(first + step * (n - 1), first + 1, self.plan, out=values[:n][::-1])
-
-            return values, sieve
-
-        return dict(zip(classes, map(row, np.empty((len(classes), self.width), dtype=np.uint8))))
-
-    def tally(self, reads: list[tuple[Sequence[int], int]], cuts: list[int]) -> list[int]:
-        """Per ascending cut, the j < cut whose values are <= bound for every
-        (values, bound) in reads."""
-        import numpy as np
-
-        k = cuts[-1]
-        mask, tmp = self.masks[:k], self.masks[k : 2 * k]
-        (values, bound), *rest = reads
-        np.less_equal(values[:k], bound, out=mask)
-        for values, bound in rest:
-            mask &= np.less_equal(values[:k], bound, out=tmp)
-        return list(accumulate(int(np.count_nonzero(mask[a:b])) for a, b in zip([0, *cuts], cuts)))
+def _spared(first: int, step: int, span: int, i: int, d: int, value: int) -> tuple[int, int]:
+    """The strike of every d-th index from i of span in a row of values
+    first + step j, as (i, stop), less the index whose value is `value`, the
+    least positive multiple that the strike's indices hold: it is a row's
+    first multiple when the row ascends, its last when it descends."""
+    j, r = divmod(value - first, step)
+    if r == 0 and 0 <= j < span:
+        return (i + d, span) if j == i else (i, j)
+    return i, span
 
 
 class _TupleSieve:
-    """The block of one class of a prime pattern's heads, and the buffers it
-    is sieved in; built once in each process that sieves, no numpy.
+    """The block of one class of a tuple count's heads, and the buffers it is
+    sieved in; built once in each process that sieves, no numpy.
 
     Index i of a block stands for the head n = n0 + M i.  Each position of n is
     a row of values v0 + s i, with s = M for n and each n + off and s = -M for
-    N - n; every value is coprime to M, at least 2 and at most the count's
-    largest position, so it is prime exactly when no base prime but itself
-    divides it.  M is a primorial, so the base primes not dividing it are the
-    table past M's own.  Each of them strikes, in every row, the indices whose
+    N - n, and a bound of 1 or 2; every value is at least 2 (a head 1 is
+    cleared after), and top is the largest value of a row of bound 2, or 0 when
+    no row has bound 2.  M is a primorial, so the base primes not
+    dividing it are the table past M's own.  A head's byte is nonzero while it
+    counts: it starts at 1, and no strike makes a zero byte nonzero.
+
+    A row of bound 1 holds values coprime to M, each prime exactly when no base
+    prime but itself divides it.  Each base prime p strikes the indices whose
     value it divides, i = -v0 s^-1 (mod p) and every p-th one after, by one slice
     assignment of that many zero bytes.  A value equal to p is spared: in an
     ascending row it is the first multiple of p, in a descending one the last,
     so the slice starts p later or stops before it.  Only a prime at or above a
     row's least value can be one of its values, so the others skip the check.
-    The set bytes left are the heads whose every position is prime.
+
+    The j-th row of bound 2 owns bit j + 1 of every byte, and each event below
+    translates the bytes it strikes by one table: bit clear -> set, bit set ->
+    0, the head out.  The events of a value v are each base prime p | v with
+    p^2 <= v (by slices that start or stop where the row passes p^2), each
+    p^2 | v with v != p^2 for p up to the cube root of top, the prime g of M
+    that divides every value of the row, if one does (preset in the byte every
+    block starts from), and g^2 | v with v != g^2.  Omega(v) <= 2 exactly when
+    v has at most one event.  A prime v has none, or only g's when v = g.  A
+    v = p q with p <= q has one, p's or g's: q^2 > v when q > p, and q is then
+    no prime of M, since the primes below a prime of M are M's too and a class
+    has at most one; v = p^2 is spared its square's event.  A v with
+    Omega(v) >= 3 and least prime p has two: p's, as v >= p^3, and p^2's when
+    p^2 divides v (p^3 <= v puts p within the cube root), or else that of the
+    least prime q of v / p, as q^2 <= v / p, q being no prime of M as above.
     """
 
-    def __init__(self, base_primes: Sequence[int], modulus: int, width: int):
+    def __init__(self, base_primes: Sequence[int], modulus: int, width: int, top: int):
+        def inverses(primes: Sequence[int], power: int) -> memoryview:
+            held = memoryview(bytearray(8 * len(primes))).cast("q")
+            for i, p in enumerate(primes):
+                held[i] = pow(modulus, -1, p**power)
+            return held
+
+        self.modulus = modulus
         self.primes = base_primes[sum(modulus % q == 0 for q in _WHEEL_PRIMES) :]
-        self.inverses = memoryview(bytearray(8 * len(self.primes))).cast("q")
-        for i, p in enumerate(self.primes):
-            self.inverses[i] = pow(modulus, -1, p)
+        self.inverses = inverses(self.primes, 1)
         self.block = bytearray(width)
         self.view = memoryview(self.block)  # the fill copies through it: a bytearray slice copies
         # the longest strike: ceil(width / p) bytes for the least prime p
         self.zero = bytearray(-(-width // self.primes[0]) if len(self.primes) else 0)
+        # for the rows of bound 2: the primes up to the cube root of top, M^-1
+        # mod their squares, and per row's bit the table of its events
+        self.squares = self.primes[: bisect.bisect_right(self.primes, top, key=lambda p: p**3)]
+        self.square_inverses = inverses(self.squares, 2)
+        self.events = {bit: _events(bit) for bit in (2, 4, 8)} if top else {}
 
-    def sieve(self, rows: Sequence[tuple[int, int]], span: int) -> bytearray:
-        """The block of span heads, 1 where every row (v0, s) holds a prime."""
+    def sieve(self, rows: Sequence[tuple[int, int, int]], span: int) -> bytearray:
+        """The block of span heads, nonzero where every row (v0, s, bound) holds
+        a value with at most bound prime factors."""
         block, zero, primes, inverses = self.block, self.zero, self.primes, self.inverses
-        block[0], filled = 1, 1
-        while filled < span:  # each copy doubles the ones, so the block needs no fill buffer
+        twos = [(first, step, bit) for (first, step, _), bit
+                in zip([row for row in rows if row[2] == 2], self.events)]
+        block[0] = 1 | sum(bit for first, _, bit in twos if math.gcd(first, self.modulus) > 1)
+        filled = 1
+        while filled < span:  # each copy doubles the filled bytes, so the block needs no fill buffer
             self.view[filled : min(2 * filled, span)] = self.view[: min(filled, span - filled)]
             filled *= 2
-        for first, step in rows:
+        for first, step, bound in rows:
+            if bound == 2:
+                continue
             start = -first if step > 0 else first  # i = start M^-1 (mod p)
             # the primes below the row's least value and at most span strike at
             # least once and are none of its values
@@ -756,6 +790,46 @@ class _TupleSieve:
                         stop = j
                 if i < stop:
                     block[i:stop:p] = zero[: (stop - 1 - i) // p + 1]
+        for first, step, bit in twos:
+            event = self.events[bit]
+            start = -first if step > 0 else first
+            least, most = sorted((first, first + step * (span - 1)))
+            # the primes at most span whose square is at most the row's least
+            # value count at every multiple, and those whose square passes its
+            # largest at none
+            plain = min(bisect.bisect_right(primes, math.isqrt(least)),
+                        bisect.bisect_right(primes, span))
+            reach = max(bisect.bisect_right(primes, math.isqrt(most)), plain)
+            for p, inverse in zip(primes[:plain], inverses[:plain]):
+                i = start * inverse % p
+                block[i:span:p] = block[i:span:p].translate(event)
+            if step > 0:  # the multiples at or past p^2 start at index e
+                for p, inverse in zip(primes[plain:reach], inverses[plain:reach]):
+                    e = -((first - p * p) // step)
+                    if e < 0:
+                        e = 0
+                    i = e + (start * inverse - e) % p
+                    if i < span:  # an empty slice of a viewed bytearray cannot be assigned
+                        block[i:span:p] = block[i:span:p].translate(event)
+            else:  # and stop before index stop
+                for p, inverse in zip(primes[plain:reach], inverses[plain:reach]):
+                    i, stop = start * inverse % p, (p * p - first) // step + 1
+                    if stop > span:
+                        stop = span
+                    if i < stop:
+                        block[i:stop:p] = block[i:stop:p].translate(event)
+            for p, inverse in zip(self.squares, self.square_inverses):
+                d = p * p
+                i, stop = _spared(first, step, span, start * inverse % d, d, value=d)
+                if i < stop:
+                    block[i:stop:d] = block[i:stop:d].translate(event)
+            g = math.gcd(first, self.modulus)
+            if g > 1:  # g^2 | v: g | v / g = first / g + (step / g) i
+                i = -(first // g) * pow(step // g, -1, g) % g
+                i, stop = _spared(first, step, span, i, g, value=g * g)
+                run = g * (len(zero) or span)  # in runs no longer than a prime's strike
+                for i in range(i, stop, run):
+                    block[i : min(stop, i + run) : g] = block[i : min(stop, i + run) : g].translate(event)
         return block
 
 
@@ -770,62 +844,78 @@ def _counted(make_work: Callable[[], _Work], units: Sequence[tuple[int, int]],
     return _unit_sum(make_work, units, length).tolist()
 
 
-def _tuple_count(marks: Sequence[int], offsets: tuple[int, ...], mirrored: bool) -> list[int]:
-    """Per mark, the primes n in [2, mark] with every n + off prime, off in
-    offsets (0 among them); mirrored, the one mark N counts the n in [2, N - 2]
-    with N - n prime as well.
+def _tuple_count(
+    marks: Sequence[int],
+    head: int,
+    forward: tuple[tuple[int, int], ...],
+    mirror: int | None,
+) -> list[int]:
+    """_sieve_count's counts for bounds that are all 1 or 2, sieved as tuples
+    of positions on a _TupleSieve.
 
     A unit is one block of up to width heads n = lo + c + M i of one class c
     that _tuple_classes admits, lo a multiple of M from 0: every head of the
-    class up to the last mark, or to N - 2, and no pairing.  Head 1, in the
-    first block of class 1, is not prime and is cleared.  A head of no admitted
-    class has a position divisible by a prime q of M, which is prime only if it
-    is q: so the n = q - off, and mirrored n = N - q, are the only such heads
-    that can count, and the process that takes the first unit checks them by
-    trial division, or the caller when a count has no units.
+    class up to the last mark, or to N - 2, and no pairing.  A count whose
+    head's bound is the mirror's and which has no offsets (D_sr s s, D_1r 1) is
+    the same count with n and N - n traded, so it walks the heads up to N/2 and
+    counts those below N/2 twice.  Head 1, in the first block of class 1, is
+    cleared.  A head of no admitted class has a position with as many primes of
+    M as its bound, which counts only if it is one such prime q at bound 1, or a
+    product g h of two at bound 2: so the n = q - off, or g h - off, and
+    mirrored n = N - q, or N - g h, are the only such heads that can count, and
+    the process that takes the first unit checks them by trial division, or the
+    caller when a count has no units.
     """
     size = marks[-1]
-    limit = size - 2 if mirrored else size
-    base_primes = primes_up_to(math.isqrt(size + max(offsets)))  # no numpy: built before any fork
-    modulus, heads, width = _tuple_classes(offsets, size, mirrored, len(base_primes))
+    halved = mirror == head and not forward
+    if halved:  # the heads below N/2, and N/2
+        marks = [size // 2 - 1, size // 2]
+    limit = marks[-1] if mirror is None or halved else size - 2
+    offsets = (0, *(off for off, _ in forward))
+    pattern = tuple(zip(offsets, (head, *(bound for _, bound in forward))))
+    top = size + max(offsets)  # at or past every value
+    base_primes = primes_up_to(math.isqrt(top))  # no numpy: built before any fork
+    modulus, heads, width = _tuple_classes(head, forward, mirror, size, limit, len(base_primes))
     units = [(lo, c) for lo in range(0, limit, modulus * width) for c in heads if lo + c <= limit]
 
-    def rows(n: int) -> list[tuple[int, int]]:
+    def rows(n: int) -> list[tuple[int, int, int]]:
         """The rows of a block whose first head is n: each position's value at
-        n, and its step from head to head."""
-        return [(n + off, modulus) for off in offsets] + [(size - n, -modulus)] * mirrored
+        n, its step from head to head and its bound."""
+        return ([(n + off, modulus, bound) for off, bound in pattern]
+                + ([] if mirror is None else [(size - n, -modulus, mirror)]))
 
     def small_heads() -> list[int]:
         """Per mark, the hits among the heads of no admitted class."""
         primes = [q for q in _WHEEL_PRIMES if modulus % q == 0]
-        small = {q - off for q in primes for off in offsets}
-        small |= {size - q for q in primes if mirrored}
+        values = {1: primes, 2: [g * h for i, g in enumerate(primes) for h in primes[i + 1 :]]}
+        small = {v - off for off, bound in pattern for v in values[bound]}
+        small |= {size - v for v in values[mirror]} if mirror else set()
         hits = [n for n in small if 2 <= n <= limit
-                and all(_trial_omega(v, base_primes) == 1 for v, _ in rows(n))]
+                and all(_trial_omega(v, base_primes) <= bound for v, _, bound in rows(n))]
         return [sum(n <= mark for n in hits) for mark in marks]
 
     def make_work() -> _Work:
         """work(unit) over one _TupleSieve that serves every unit this process
         takes; built in that process."""
-        sieve = _TupleSieve(base_primes, modulus, width)
+        twos = any(bound == 2 for bound in (mirror, *(bound for _, bound in pattern)))
+        sieve = _TupleSieve(base_primes, modulus, width, top if twos else 0)
 
         def work(unit: tuple[int, int]) -> list[int]:
             n = sum(unit)  # the block's first head
             span = min(width, (limit - n) // modulus + 1)
             block = sieve.sieve(rows(n), span)
             if n == 1:
-                block[0] = 0  # 1 is not prime
+                block[0] = 0  # 1 is no head
             cuts = [min(span, max(0, (mark - n) // modulus + 1)) for mark in marks]
-            total = list(accumulate(block.count(1, a, b) for a, b in zip([0, *cuts], cuts)))
+            total = list(accumulate(b - a - block.count(0, a, b) for a, b in zip([0, *cuts], cuts)))
             if unit == units[0]:  # its process also counts the heads of no admitted class
                 total = [a + b for a, b in zip(total, small_heads())]
             return total
 
         return work
 
-    if not units:
-        return small_heads()
-    return _counted(make_work, units, len(marks))
+    counts = _counted(make_work, units, len(marks)) if units else small_heads()
+    return [sum(counts)] if halved else counts
 
 
 def _sieve_count(
@@ -850,14 +940,15 @@ def _sieve_count(
     takes the first unit (lo = M), which they sit just below, or by the caller
     when a count has no units.
 
-    This loop serves the counts with a bound of 2 or more (a prime pattern
-    sieves tuples: _tuple_count).  Each process that sieves builds one
-    _OmegaKernel and one set of rows, sized by the longest unit, so memory is
-    O(segment) per worker for every kind and a unit allocates nothing of that
-    size.  A forking caller builds none of them: it builds the prime table,
-    which its workers inherit, imports numpy so that they share its pages,
-    forks, then adds the workers' sums as ints, so the result does not depend
-    on the worker count.
+    This loop serves the counts with a bound of 3 or more (bounds up to 2
+    sieve tuples: _tuple_count).  Each process that sieves builds one _Plan and
+    one set of rows, uint8 per class and a descending block written reversed,
+    so that every mask reads its rows forwards.  They are sized by the longest
+    unit, so memory is O(segment) per worker for every kind and a unit
+    allocates nothing of that size.  A forking caller builds none of them: it
+    builds the prime table, which its workers inherit, imports numpy so that
+    they share its pages, forks, then adds the workers' sums as ints, so the
+    result does not depend on the worker count.
     """
     size = marks[-1]
     limit = size if mirror is None else size // 2
@@ -884,18 +975,34 @@ def _sieve_count(
         return [sum(n <= mark for n in hits) for mark in marks]
 
     def make_work() -> _Work:
-        """work(unit) over one kernel and one set of rows that serve every unit
+        """work(unit) over one _Plan and one set of rows that serve every unit
         this process takes; built in that process, so a worker faults in only
         its own, once."""
-        kernel = _OmegaKernel(top, base_primes, modulus, width)
-        # per sieved class, n ascending, and per class of n, N - n descending from the pad on
-        lower = kernel.rows(needed, modulus)
-        upper = {} if mirror is None else kernel.rows([residue(size - c) for c in needed], -modulus)
+        import numpy as np
 
-        def read(rows: dict[int, _Row], c: int, off: int, start: int = 0) -> Sequence[int]:
+        plan = _Plan(top, base_primes, modulus, width)
+        masks = plan.block.view(np.bool_)  # 2 (width + 1) bytes hold two spans
+        # per sieved class, n ascending, and per class of n, N - n descending from the pad on
+        lower = dict(zip(needed, np.empty((len(needed), width), dtype=np.uint8)))
+        upper = {} if mirror is None else dict(zip([residue(size - c) for c in needed],
+                                                   np.empty((len(needed), width), dtype=np.uint8)))
+
+        def read(rows: dict[int, np.ndarray], c: int, off: int, start: int = 0) -> np.ndarray:
             """The values of n + off for the n of class c, from rows."""
             d = residue(c + off)
-            return rows[d][0][start + (c + off - d) // modulus :]
+            return rows[d][start + (c + off - d) // modulus :]
+
+        def tally(reads: list[tuple[np.ndarray, int]], cuts: list[int]) -> list[int]:
+            """Per ascending cut, the j < cut whose values are <= bound for every
+            (values, bound) in reads; the masks live in the plan's word buffer,
+            which a tally reads only once every block of its unit is sieved."""
+            k = cuts[-1]
+            mask, tmp = masks[:k], masks[k : 2 * k]
+            (values, bound), *rest = reads
+            np.less_equal(values[:k], bound, out=mask)
+            for values, bound in rest:
+                mask &= np.less_equal(values[:k], bound, out=tmp)
+            return list(accumulate(int(np.count_nonzero(mask[a:b])) for a, b in zip([0, *cuts], cuts)))
 
         def work(unit: tuple[int, int]) -> list[int]:
             lo, span = unit
@@ -905,19 +1012,20 @@ def _sieve_count(
                 """The n <= mark of class c in this unit, as a cut of its block."""
                 return min(span, max(0, (mark - lo - c) // modulus + 1))
 
-            for c, (_, sieve) in lower.items():
-                sieve(lo + c, n)
-            for c, (_, sieve) in upper.items():
-                sieve(size - lo - c + modulus * padw, n)  # N - n at index -padw
+            for c, values in lower.items():
+                _omega_block(lo + c, lo + c + modulus * (n - 1) + 1, plan, out=values[:n])
+            for c, values in upper.items():  # N - n at index -padw, the block written reversed
+                first = size - lo - c + modulus * padw
+                _omega_block(first - modulus * (n - 1), first + 1, plan, out=values[:n][::-1])
             own = [[(read(lower, c, 0), head)] + [(read(lower, c, off), bound) for off, bound in forward]
                    for c in heads]
             if mirror is None:
                 total = [0] * len(marks)
                 for c, reads in zip(heads, own):
-                    hits = kernel.tally(reads, [inside(c, mark) for mark in marks])
+                    hits = tally(reads, [inside(c, mark) for mark in marks])
                     total = [a + b for a, b in zip(total, hits)]
             else:
-                count = sum(kernel.tally(reads + [(read(upper, c, 0, padw), mirror)], [inside(c, limit)])[0]
+                count = sum(tally(reads + [(read(upper, c, 0, padw), mirror)], [inside(c, limit)])[0]
                             for c, reads in zip(heads, own))
                 # the partners N - n of the n in class c: their offsets N - n + off
                 # are N - (n - off)
@@ -925,9 +1033,9 @@ def _sieve_count(
                     k = inside(c, limit)
                     if k and 2 * (lo + c + modulus * (k - 1)) == size:
                         k -= 1  # n = N/2 is its own partner: counted in the lower half only
-                    count += kernel.tally([(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
-                                          + [(read(upper, c, -off, padw), bound) for off, bound in forward],
-                                          [k])[0]
+                    count += tally([(read(upper, c, 0, padw), head), (read(lower, c, 0), mirror)]
+                               + [(read(upper, c, -off, padw), bound) for off, bound in forward],
+                               [k])[0]
                 total = [count]
             if lo == modulus:  # the first unit's process also counts the heads below it
                 total = [a + b for a, b in zip(total, small_heads())]
@@ -962,11 +1070,9 @@ def _results(kind: str, params: Sequence[int], sizes: Sequence[int]) -> list[Tri
     head = named[spec.head] if spec.head else 1  # a prime head
     forward = tuple((off, named[name]) for off, name in spec.forward)
     mirror = named[spec.mirror] if spec.mirror else None
-    if max(head, mirror or 1, *(bound for _, bound in forward)) == 1:  # a prime pattern
-        count = functools.partial(_tuple_count, offsets=(0, *(off for off, _ in forward)),
-                                  mirrored=mirror is not None)
-    else:
-        count = functools.partial(_sieve_count, head=head, forward=forward, mirror=mirror)
+    tuples = max(head, mirror or 1, *(bound for _, bound in forward)) <= 2
+    count = functools.partial(_tuple_count if tuples else _sieve_count,
+                              head=head, forward=forward, mirror=mirror)
     # a mirrored kind counts each N on its own: its positions N - n differ
     counts = count(sizes) if mirror is None else [count([N])[0] for N in sizes]
     return [TripleCountResult(kind, size, named, count, _predicted(spec, size, named))

@@ -7,11 +7,13 @@ the tensor integrator, numerical quadrature in ``mpmath`` instead of the
 closed forms over the dilogarithm, a chain recursion whose trapezoid
 correction takes analytic derivatives (from the recursion itself) instead of
 the package's differenced ones, on its own grid, and the piecewise closed
-forms of the sieve curves in ``mpmath`` instead of the unit-delay table.  Two
+forms of the sieve curves in ``mpmath`` instead of the unit-delay table.  Three
 helpers do call the package: ``mirrored_count`` takes Omega from
 ``sieve_omega`` but pairs n with N - n over one whole array, not over paired
-segments, and ``hit_positions`` reads the counted integers off the package's
-own checkpoint counts.
+segments, ``hit_positions`` reads the counted integers off the package's
+own checkpoint counts, and ``almost_prime_count`` takes pi from the tuple
+sieve's scan of primes, which shares nothing with the Omega kernel but the
+prime table.
 """
 
 from __future__ import annotations
@@ -84,6 +86,21 @@ def omega_table(limit: int) -> list[int]:
 
 def primes_below(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if is_prime(n)]
+
+
+def almost_prime_count(y: int, k: int) -> int:
+    """The n in [2, y] with Omega(n) <= k, for k = 2, by Landau's identity
+    pi(y) + sum over p <= sqrt(y) of (pi(y / p) - pi(p) + 1): the primes, and
+    the p q <= y with p <= q counted at their least prime p.  pi comes from one
+    scan of the tuple sieve at bound 1, with a checkpoint at every y / p and p."""
+    from triplesieve import engine
+
+    if k != 2:
+        raise ValueError(f"Landau's identity is taken here for k = 2, not {k}")
+    primes = primes_below(math.isqrt(y))
+    marks = sorted({y, *primes, *(y // p for p in primes)})
+    pi = dict(zip(marks, engine._tuple_count(marks, 1, (), None)))
+    return pi[y] + sum(pi[y // p] - pi[p] + 1 for p in primes)
 
 
 def at_most_two_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:

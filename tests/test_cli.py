@@ -639,11 +639,12 @@ def _imported_by(*argv):
 
 def test_count_loads_only_the_engine():
     # the Euler products load only with a predictor that uses one: D_1ab's uses none;
-    # numpy loads only with a bound of 2 or more, as a prime pattern's bounds are all 1;
+    # numpy loads only with a bound of 3 or more, as bounds up to 2 sieve tuples;
     # traceback and signal load only on a count's failure paths
     failure_only = {"traceback", "signal"} - _imported_by("-c", "import numpy")
-    for argv, euler, numpy in ((("pi_1ab", "1000", "2", "2"), True, True),
-                               (("D_1ab", "1000", "2", "2"), False, True),
+    for argv, euler, numpy in ((("pi_1ab", "1000", "2", "3"), True, True),
+                               (("D_1ab", "1000", "2", "3"), False, True),
+                               (("D_1ab", "1000", "2", "2"), False, False),
                                (("pi_1ab", "1000", "1", "1"), True, False)):
         imported = _imported_by("-m", "triplesieve", "count", *argv)
         loaded = {m for m in imported if m.split(".")[0] in ("numpy", "triplesieve")}
@@ -794,8 +795,8 @@ def _cold_usage(*argv, workers=1):
 def test_a_large_count_faults_its_buffers_in_once():
     # 96 blocks of 2^19 words; a unit that allocated its arrays afresh took
     # ~29k more faults than the small count (at 2^20 words), one set of buffers ~0.6k
-    small, _ = _cold_usage("count", "D_1ab", "1000", "2", "2")
-    large, _ = _cold_usage("count", "D_1ab", "100250000", "2", "2")
+    small, _ = _cold_usage("count", "D_1ab", "1000", "2", "3")
+    large, _ = _cold_usage("count", "D_1ab", "100250000", "2", "3")
     assert large - small < 4096, (small, large)
 
 
@@ -806,8 +807,8 @@ def test_a_large_count_peaks_within_its_segment_buffers():
     # count ~2.6-2.9 MiB above the small one; the full wheel and 2^20-word
     # buffers put it ~4.2 MiB above.  One cold run's peak varies by up to
     # ~300 KiB, so each side is the least of three
-    small = min(_cold_usage("count", "D_1ab", "1000", "2", "2")[1] for _ in range(3))
-    large = min(_cold_usage("count", "D_1ab", "100250000", "2", "2")[1] for _ in range(3))
+    small = min(_cold_usage("count", "D_1ab", "1000", "2", "3")[1] for _ in range(3))
+    large = min(_cold_usage("count", "D_1ab", "100250000", "2", "3")[1] for _ in range(3))
     assert large - small < 3 * 1024, (small, large)
 
 
@@ -820,8 +821,8 @@ def test_a_forked_count_peaks_no_higher_than_a_one_unit_count():
     # builds a plan, so it peaks lower than the small count.  A caller that
     # sieved a share as well put the large count ~2.3 MiB higher, and one that
     # built the plan before forking ~0.9 MiB higher, level with the small count
-    _, small = _cold_usage("count", "D_1ab", "1000", "2", "2", workers=2)
-    _, large = _cold_usage("count", "D_1ab", "100250000", "2", "2", workers=2)
+    _, small = _cold_usage("count", "D_1ab", "1000", "2", "3", workers=2)
+    _, large = _cold_usage("count", "D_1ab", "100250000", "2", "3", workers=2)
     assert large - small <= 0, (small, large)
 
 
@@ -830,11 +831,11 @@ def test_a_forked_count_peaks_no_higher_than_a_one_unit_count():
                     reason="reads peak RSS through os.wait4 on Linux, with two CPUs to fork for")
 def test_a_forked_count_predictor_adds_little_to_its_caller():
     # a forked count peaks in its caller, and pi_1ab's caller computes C3 once its
-    # workers are reaped, where D_1ab's computes no constant; at bounds of 2 both
-    # callers load numpy.  With the Euler products in scalar math the gap read
+    # workers are reaped, where D_1ab's computes no constant; with a bound of 3
+    # both callers load numpy.  With the Euler products in scalar math the gap read
     # 4-596 KiB over 60 trials (each side the least of three); numpy products,
     # which fault its vector-math kernels into the caller, read 816-1128 KiB.  The
     # bound sits between the two
-    forward = min(_cold_usage("count", "pi_1ab", "1e7", "2", "2", workers=2)[1] for _ in range(3))
-    mirror = min(_cold_usage("count", "D_1ab", "1e7", "2", "2", workers=2)[1] for _ in range(3))
+    forward = min(_cold_usage("count", "pi_1ab", "1e7", "2", "3", workers=2)[1] for _ in range(3))
+    mirror = min(_cold_usage("count", "D_1ab", "1e7", "2", "3", workers=2)[1] for _ in range(3))
     assert forward - mirror < 704, (mirror, forward)

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import math
 import os
 import signal
@@ -8,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,10 +322,28 @@ def test_bound_one_counts_match_a_sieve_of_eratosthenes():
     assert count_pi_1ab(x, 1, 2).count == oracles.eratosthenes_count("pi_1ab", x, 1, 2)
 
 
+def test_almost_prime_oracle_counts_small_sizes():
+    # Landau's identity against trial division, through sizes on either side of
+    # the squares of primes
+    table = oracles.omega_table(1000)
+    for y in (2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
+        assert oracles.almost_prime_count(y, 2) == sum(t <= 2 for t in table[2 : y + 1]), y
+
+
+@pytest.mark.parametrize("N", [10**6, 10**7])
+def test_almost_primes_match_landau_through_both_kernels(monkeypatch, N):
+    # a lone bound-2 row sieves tuples; D_sr N 2 33 counts the same n <= N - 2 on
+    # the Omega kernel, its mirror bound vacuous
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    want = oracles.almost_prime_count(N - 2, 2)
+    assert engine._tuple_count([N - 2], 2, (), None) == [want]
+    assert count_D_sr(N, 2, 33).count == want
+
+
 @pytest.mark.parametrize("N", [3 * 10**6 + d for d in (0, 2, 4, 10, 20)])
 def test_mirrored_bound_one_counts_match_a_sieve_of_eratosthenes(N):
-    # every residue of N mod 30 that moves the classes: D_1ab (2, 2) runs on
-    # M = 6 when 30 | N and on M = 2 otherwise; D_1r 1 runs on M = 30
+    # every residue of N mod 30 that moves the classes: D_1r 1 and D_1ab (2, 2)
+    # sieve tuples on M = 30 for N = 2 or 4 (mod 30), on M = 6 for the others
     assert count_D_1r(N, 1).count == oracles.eratosthenes_count("D_1r", N, 1)
     assert count_D_1ab(N, 1, 1).count == oracles.eratosthenes_count("D_1ab", N, 1, 1)
     assert count_D_1ab(N, 2, 2).count == oracles.eratosthenes_count("D_1ab", N, 2, 2)
@@ -368,7 +388,7 @@ def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
 
     def check(kind, params, size, got, want):
         assert got == want, (kind, size, params)
-        if max(params) == 1:  # a prime pattern sieves tuples and takes no Omega layout
+        if max(params) <= 2:  # bounds up to 2 sieve tuples and take no Omega layout
             assert not taken, (kind, size, params)
             return
         shared = any(math.gcd(v, modulus) > 1 for v in _shared_residues(kind, params, size))
@@ -376,16 +396,16 @@ def test_every_modulus_counts_the_same(monkeypatch, modulus, segment):
 
     for N in (8, 30, 32, 62, 64, 90, 2 * (1 + 30 * segment) + 4, 19_996, 20_000, 20_002, 20_006,
               20_010):
-        for kind, params in (("D_1ab", (2, 3)), ("D_1ab", (1, 1)), ("D_1ab", (1, 2)), ("D_1r", (1,)),
-                             ("D_1r", (2,)), ("D_sr", (2, 3)), ("D_sr", (2, 2)), ("D_sr", (1, 1))):
+        for kind, params in (("D_1ab", (2, 3)), ("D_1ab", (1, 1)), ("D_1ab", (1, 3)), ("D_1r", (1,)),
+                             ("D_1r", (3,)), ("D_sr", (2, 3)), ("D_sr", (3, 3)), ("D_sr", (1, 1))):
             got = getattr(engine, f"count_{kind}")(N, *params).count
             check(kind, params, N, got, oracles.mirrored_count(kind, N, *params))
     x, marks = 5000, [2, 5, 29, 30, 31, 97, 1000, 4999, 5000]
     table = oracles.omega_table(x + 6)
-    for a, b in ((1, 1), (2, 1), (2, 3)):
+    for a, b in ((1, 1), (3, 1), (2, 3)):
         check("pi_1ab", (a, b), x, [r.count for r in ratio_scan("pi_1ab", (a, b), marks)],
               [len(oracles.brute_pi_1ab(m, a, b, table)) for m in marks])
-    for r in (1, 2):
+    for r in (1, 3):
         check("pi_1r", (r,), x, [res.count for res in ratio_scan("pi_1r", (r,), marks)],
               [len(oracles.brute_pi_1r(m, r, table)) for m in marks])
 
@@ -394,31 +414,40 @@ _PRIME_PATTERNS = (("pi_1ab", (1, 1)), ("pi_1r", (1,)), ("D_1ab", (1, 1)), ("D_1
                    ("D_sr", (1, 1)))
 
 
-def _tuple_layout(offsets, size, mirrored):
-    """The tuple layout of a prime pattern, sieved by its count's base primes."""
-    base_primes = primes_up_to(math.isqrt(size + offsets[-1]))
-    return engine._tuple_classes(offsets, size, mirrored, len(base_primes))
-
-
-def _unit_edges(kind, size):
-    """The edges lo of the first few units of a prime pattern at size, each
-    with its neighbours, and size: marks for a forward scan, or mirrored N whose
-    last heads sit on or beside a unit edge."""
+def _pattern(kind, params):
+    """The head, forward and mirror bounds of a count of kind."""
     spec = engine.KINDS[kind]
-    layout = _tuple_layout((0, *(off for off, _ in spec.forward)), size, bool(spec.mirror))
+    named = dict(zip(spec.params, params))
+    return (named[spec.head] if spec.head else 1, tuple((off, named[b]) for off, b in spec.forward),
+            named[spec.mirror] if spec.mirror else None)
+
+
+def _tuple_layout(head, forward, mirror, size):
+    """The tuple layout a count of size takes, and the last head it walks:
+    _tuple_classes as _tuple_count calls it, which here sieves nothing."""
+    with mock.patch.object(engine, "_tuple_classes", wraps=engine._tuple_classes) as classes, \
+            mock.patch.object(engine, "_counted", return_value=[0, 0]):
+        engine._tuple_count([size], head, forward, mirror)
+    return engine._tuple_classes(*classes.call_args.args), classes.call_args.args[4]
+
+
+def _unit_edges(kind, params, size):
+    """The edges lo of the first few units of a tuple count at size, each with
+    its neighbours, and size: marks for a forward scan, or the last heads of
+    mirrored N that sit on or beside a unit edge."""
+    layout, limit = _tuple_layout(*_pattern(kind, params), size)
     step = layout.modulus * layout.width
-    return sorted({edge + d for edge in range(step, size, step)[:4] for d in (-1, 0, 1)} | {size})
+    return sorted({edge + d for edge in range(step, limit, step)[:4] for d in (-1, 0, 1)} | {size})
 
 
-def _prime_pattern_counts(sizes, x):
+def _prime_pattern_counts(sizes, scans):
     """Every prime pattern: the mirrored kinds at each N in sizes, and the forward
-    kinds as scans to x with marks on unit edges."""
+    kinds as scans to the marks that scans holds for each."""
     mirrored = [getattr(engine, f"count_{kind}")(N, *params).count
                 for kind, params in _PRIME_PATTERNS if engine.KINDS[kind].mirror
                 for N in sizes if N >= engine.KINDS[kind].min_size]
-    scans = [[r.count for r in ratio_scan(kind, params, _unit_edges(kind, x))]
-             for kind, params in _PRIME_PATTERNS if not engine.KINDS[kind].mirror]
-    return mirrored, scans
+    return mirrored, [[r.count for r in ratio_scan(kind, params, scans[kind])]
+                      for kind, params in _PRIME_PATTERNS if not engine.KINDS[kind].mirror]
 
 
 @pytest.mark.parametrize("modulus", engine._TUPLE_MODULI)
@@ -435,15 +464,76 @@ def test_prime_patterns_count_the_same_through_both_kernels(monkeypatch, modulus
     x = 2100 if segment == 7 else 300_000
     sizes = [4, 6, 8, 10, 22, 28, 30, 32, 44, 50, 62, 64, 90, 118, 124, 164, 170, 288, 294, 366,
              526, 532, *(x + d for d in (0, 2, 10, 20))]
-    sizes += [n + 2 for n in _unit_edges("D_1r", x)[:-1] if n % 2 == 0]  # last heads on an edge
-    counts = _prime_pattern_counts(sizes, x)
+    # last heads on an edge: N - 2, or N / 2 where n and N - n trade places
+    sizes += [n + 2 for n in _unit_edges("D_1ab", (1, 1), x)[:-1] if n % 2 == 0]
+    sizes += [2 * n for n in _unit_edges("D_1r", (1,), x)[:-1]]
+    scans = {kind: _unit_edges(kind, params, x) for kind, params in _PRIME_PATTERNS
+             if not engine.KINDS[kind].mirror}  # marks on unit edges
+    counts = _prime_pattern_counts(sizes, scans)
+    monkeypatch.setattr(engine, "_tuple_count", engine._sieve_count)
+    assert counts == _prime_pattern_counts(sizes, scans)
 
-    def rows_count(marks, offsets, mirrored):
-        forward = tuple((off, 1) for off in offsets[1:])
-        return engine._sieve_count(marks, 1, forward, 1 if mirrored else None)
 
-    monkeypatch.setattr(engine, "_tuple_count", rows_count)
-    assert counts == _prime_pattern_counts(sizes, x)
+# every count whose bounds are all 1 or 2
+_TUPLE_PATTERNS = tuple((kind, params) for kind, spec in engine.KINDS.items()
+                        for params in itertools.product((1, 2), repeat=len(spec.params)))
+# values a position may hold that a bound of 2 treats apart: g and g h for
+# primes g, h of a tuple modulus; g^2; p^2 and p^3 for base primes p not
+# dividing it (17 and 19 at M = 30030)
+_SPECIAL_VALUES = (2, 3, 5, 7, 11, 13, 6, 10, 15, 77, 143, 4, 9, 25, 49, 121, 169, 289, 361, 27,
+                   125, 343, 1331, 2197, 4913, 6859)
+
+
+def _tuple_sizes(segment):
+    """The mirrored N and the forward scan's marks of the bound-2 comparison at
+    one segment size, the same at every tuple modulus: the small N, the N and
+    marks whose first heads have a position on a special value, N of each
+    residue mod 30 that moves the classes, and N / 2 past the largest cube."""
+    x = 2100 if segment == 7 else 7000
+    specials = [v for v in _SPECIAL_VALUES if v <= x]
+    sizes = {*range(4, 66, 2), *(v + d for v in specials for d in (2, 3) if (v + d) % 2 == 0),
+             *(x + d for d in (0, 2, 10, 20)), 2 * max(specials) + 2}
+    marks = {v - off for v in specials for off in (0, 2, 6)} | {x}
+    return x, sorted(sizes), sorted(m for m in marks if 2 <= m <= x)
+
+
+@functools.cache
+def _omega_reference(segment, kind, params, sizes):
+    """A count's values on the Omega rows at each size: a scan if the kind is
+    forward, else one count per N."""
+    with mock.patch.object(engine, "SEGMENT_SIZE", segment), \
+            mock.patch.object(engine, "_tuple_count", engine._sieve_count):
+        if not engine.KINDS[kind].mirror:
+            return [r.count for r in ratio_scan(kind, params, sizes)]
+        return [getattr(engine, f"count_{kind}")(N, *params).count for N in sizes]
+
+
+@pytest.mark.parametrize("modulus", engine._TUPLE_MODULI)
+@pytest.mark.parametrize("segment", [7, 1001, 2**14])
+def test_bound_two_patterns_count_the_same_through_both_kernels(monkeypatch, modulus, segment):
+    # every bound of 1 or 2 sieves tuples; the Omega rows are the reference,
+    # computed once per segment.  Each count forced onto one tuple modulus, over
+    # many units, at sizes whose positions reach g, g h, g^2, p^2 and p^3, and
+    # N whose last heads sit on or beside a unit edge: N - 2, or N / 2 where n
+    # and N - n trade places
+    monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
+    monkeypatch.setattr(engine, "_TUPLE_MODULI", (modulus,))
+    monkeypatch.setattr(engine, "SEGMENT_SIZE", segment)
+    x, sizes, marks = _tuple_sizes(segment)
+    edges = ([n + 2 for n in _unit_edges("D_1ab", (2, 2), x)[:-1] if n % 2 == 0]
+             + [2 * n for n in _unit_edges("D_sr", (2, 2), x)[:-1]])
+    for kind, params in _TUPLE_PATTERNS:
+        if engine.KINDS[kind].mirror:
+            own = tuple(N for N in sizes if N >= engine.KINDS[kind].min_size)
+            got = [getattr(engine, f"count_{kind}")(N, *params).count for N in own]
+            assert got == _omega_reference(segment, kind, params, own), (kind, params)
+            for N in edges:  # these move with the modulus
+                got = getattr(engine, f"count_{kind}")(N, *params).count
+                assert [got] == _omega_reference(segment, kind, params, (N,)), (kind, params, N)
+        else:
+            own = tuple(sorted(set(marks) | set(_unit_edges(kind, params, x))))
+            got = [r.count for r in ratio_scan(kind, params, own)]
+            assert got == _omega_reference(segment, kind, params, own), (kind, params)
 
 
 @pytest.mark.parametrize("count, modulus, heads, needed", [
@@ -457,23 +547,24 @@ def test_prime_patterns_count_the_same_through_both_kernels(monkeypatch, modulus
      [1, 11, 13, 17, 19, 29, 31, 41, 43, 59, 61, 71, 73, 101, 103, 107, 109, 137, 139, 149, 151,
       167, 169, 179, 181, 191, 193, 197, 199, 209]),
     ((1, (), 1, 3 * 10**6 + 2), 30, [1, 13, 19], [1, 13, 19]),
-    ((1, ((6, 2),), 2, 99750000), 6, [1, 5], [1, 5]),  # 10/30 at M = 30: a tie
-    ((1, ((6, 2),), 2, 99875000), 2, [1], [1]),
-    # 13/30, 12/30 and 27/30 of the words, but many more class blocks
-    ((1, ((2, 2), (6, 2)), None, 10**8), 2, [1], [1]),
-    ((1, ((2, 2),), None, 10**8), 2, [1], [1]),
+    # at M = 30 some n + 6 are multiples of 5, and past 30 | N some N - n of 3
+    ((1, ((6, 3),), 3, 99750000), 6, [1, 5], [1, 5]),
+    ((1, ((6, 3),), 3, 99875000), 2, [1], [1]),
+    # at M = 6 some n + 2 are multiples of 3
+    ((1, ((2, 3), (6, 3)), None, 10**8), 2, [1], [1]),
+    ((1, ((2, 3),), None, 10**8), 2, [1], [1]),
     ((1, ((2, 33),), None, 10**8), 2, [1], [1]),
     ((2, (), 3, 10**8), 1, [1], [1]),
 ])
 def test_classes_follow_the_bounds(count, modulus, heads, needed):
     head, forward, mirror, size = count
-    if max(head, mirror or 1, *(bound for _, bound in forward)) > 1:
+    if max(head, mirror or 1, *(bound for _, bound in forward)) > 2:
         assert engine._classes(*count)[:3] == (modulus, heads, needed)
         return
     # a prime pattern sieves its heads' classes as tuples; needed are the classes
     # of every position of those heads, all coprime to M
     offsets = (0, *(off for off, _ in forward))
-    layout = _tuple_layout(offsets, size, mirror is not None)
+    layout, _ = _tuple_layout(head, forward, mirror, size)
     residues = {(c + off) % modulus for c in layout.heads for off in offsets}
     if mirror is not None:
         residues |= {(size - c) % modulus for c in layout.heads}
@@ -485,12 +576,12 @@ def test_classes_follow_the_bounds(count, modulus, heads, needed):
 def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 1 << 16)
-    count_D_1ab(1000, 2, 2)  # the wheel and small prime tables are built once
+    count_D_1ab(1000, 2, 3)  # the wheel and small prime tables are built once
     peaks = []
     for N in (4 * 10**6, 4 * 10**7):
         tracemalloc.start()
         try:
-            count_D_1ab(N, 2, 2)
+            count_D_1ab(N, 2, 3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -500,11 +591,16 @@ def test_mirrored_count_memory_is_bounded_by_the_segment(monkeypatch):
 
 @pytest.mark.parametrize("kind, params, size", [
     ("pi_1ab", (1, 1), 10**6), ("pi_1ab", (1, 1), 10**8), ("D_1ab", (1, 1), 10**6),
-    ("D_1r", (1,), 10**8 + 2),
+    ("D_1r", (1,), 10**8 + 2), ("D_1ab", (2, 2), 10**6), ("pi_1r", (2,), 10**6),
+    ("D_sr", (2, 2), 10**6),
+    # one descending row of bound 2: traced, D_1ab 2 2 at 1e8 took 7.6 s, this 2.7 s
+    ("D_1ab", (1, 2), 10**8),
 ])
 def test_a_prime_pattern_peaks_at_one_block_and_its_strike_buffers(monkeypatch, kind, params, size):
-    # the engine docstring's budget w + 2 ceil(w / p0) + 8 P for blocks of w
-    # heads, P base primes not dividing M and p0 the least of them, against the
+    # the engine docstring's budget for blocks of w heads, P base primes not
+    # dividing M and p0 the least of them: w + 2 ceil(w / p0) + 8 P when every
+    # bound is 1, and with a bound of 2 w + 3 ceil(w / p0) + 8 (P + Q), for
+    # the Q base primes whose cube is at most the largest value, against the
     # traced peak of a count sieved in this process
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")
     count = getattr(engine, f"count_{kind}")
@@ -515,13 +611,16 @@ def test_a_prime_pattern_peaks_at_one_block_and_its_strike_buffers(monkeypatch, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    spec = engine.KINDS[kind]
-    offsets = (0, *(off for off, _ in spec.forward))
-    base_primes = primes_up_to(math.isqrt(size + offsets[-1]))
-    layout = engine._tuple_classes(offsets, size, bool(spec.mirror), len(base_primes))
+    head, forward, mirror = _pattern(kind, params)
+    top = size + max((off for off, _ in forward), default=0)
+    base_primes = primes_up_to(math.isqrt(top))
+    layout, _ = _tuple_layout(head, forward, mirror, size)
     own = sum(layout.modulus % q == 0 for q in engine._WHEEL_PRIMES)  # M's primes come first
-    w, p0, primes = layout.width, base_primes[own], len(base_primes) - own
-    budget = w + 2 * -(-w // p0) + 8 * primes
+    w, p0, primes = layout.width, base_primes[own], base_primes[own:]
+    if max(params) == 1:
+        budget = w + 2 * -(-w // p0) + 8 * len(primes)
+    else:
+        budget = w + 3 * -(-w // p0) + 8 * (len(primes) + sum(p**3 <= top for p in primes))
     assert 0 <= peak - budget < 8 * 1024, (peak, budget)
 
 
@@ -544,7 +643,7 @@ def test_prime_headed_counts_never_build_the_full_wheel(monkeypatch):
     # the full wheel is 720 KB; a prime head is odd, so its classes need at most half
     monkeypatch.setenv("TRIPLESIEVE_THREADS", "1")  # the wheels are built in this process
     engine._wheel.cache_clear()
-    count_D_1ab(10**6, 2, 2)
+    count_D_1ab(10**6, 2, 3)
     count_D_1r(10**6 + 2, 1)
     count_pi_1ab(10**6, 1, 1)
     count_pi_1r(10**6, 33)
@@ -644,10 +743,21 @@ def forks(monkeypatch):
 
 
 def _every_kind(x):
-    """Counts of all five kinds at x, and a forward scan that sends several marks."""
+    """Counts of all five kinds at x with a bound of 3, which sieve Omega, and a
+    forward scan that sends several marks."""
     return (
-        count_pi_1ab(x, 2, 2).count, count_D_1ab(x, 2, 3).count, count_pi_1r(x, 2).count,
-        count_D_1r(x, 2).count, count_D_sr(x, 2, 3).count,
+        count_pi_1ab(x, 2, 3).count, count_D_1ab(x, 2, 3).count, count_pi_1r(x, 3).count,
+        count_D_1r(x, 3).count, count_D_sr(x, 2, 3).count,
+        [r.count for r in ratio_scan("pi_1ab", (2, 3), [10, 1000, 32771, 65537, 150001, x])],
+    )
+
+
+def _every_bound_two(x):
+    """The five kinds at bound 2, which sieve tuples, and a forward scan that
+    sends several marks."""
+    return (
+        count_pi_1ab(x, 2, 2).count, count_D_1ab(x, 2, 2).count, count_pi_1r(x, 2).count,
+        count_D_1r(x, 2).count, count_D_sr(x, 2, 2).count,
         [r.count for r in ratio_scan("pi_1ab", (2, 2), [10, 1000, 32771, 65537, 150001, x])],
     )
 
@@ -670,6 +780,10 @@ def test_thread_count_invariance(monkeypatch, forks):
 
 def test_thread_count_invariance_of_the_prime_patterns(monkeypatch, forks):
     _assert_thread_count_invariance(monkeypatch, forks, _every_prime_pattern, 10**6)
+
+
+def test_thread_count_invariance_of_the_bound_two_counts(monkeypatch, forks):
+    _assert_thread_count_invariance(monkeypatch, forks, _every_bound_two, 200_000)
 
 
 def _assert_thread_count_invariance(monkeypatch, forks, every, x):
@@ -745,12 +859,13 @@ def test_the_caller_sieves_nothing_when_it_forks(monkeypatch, workers):
 _FORKING_CALLER_PEAK = 32 * 1024
 
 
-@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 3)), ("pi_1r", (2,)),
-                                          ("D_1r", (2,)), ("D_sr", (2, 3)), *_PRIME_PATTERNS])
+@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 3)), ("D_1ab", (2, 3)), ("pi_1r", (3,)),
+                                          ("D_1r", (3,)), ("D_sr", (2, 3)), *_PRIME_PATTERNS,
+                                          ("D_1ab", (2, 2)), ("D_sr", (2, 2))])
 def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     # the caller builds the prime table, forks two workers, which inherit it,
     # adds their sums as ints and runs the predictor; the workers build the
-    # kernels (a plan for Omega, a _TupleSieve for a prime pattern) and check
+    # kernels (a plan for Omega, a _TupleSieve for bounds up to 2) and check
     # the small heads
     size = 10**6 if max(params) == 1 else 200_000
     monkeypatch.setattr(engine, "SEGMENT_SIZE", 2**14)  # at least 4 units per count
@@ -771,7 +886,7 @@ def test_a_forking_caller_runs_no_sieve_code(monkeypatch, forks, kind, params):
     assert [pid for name, pid in calls if name == "primes_up_to"] == [caller]
     sievers = {pid for name, pid in calls if name != "primes_up_to"}
     assert len(sievers) == 2 and caller not in sievers, calls
-    kernel = "_TupleSieve" if max(params) == 1 else "_Plan"
+    kernel = "_TupleSieve" if max(params) <= 2 else "_Plan"
     kernels = [call for call in calls if call[0] in ("_Plan", "_TupleSieve")]
     assert sorted(kernels) == sorted((kernel, pid) for pid in sievers), calls  # one per worker
     assert peak < _FORKING_CALLER_PEAK, peak
@@ -795,16 +910,17 @@ print(loaded)
 """
 
 
-@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 2)), ("D_1ab", (2, 2)), *_PRIME_PATTERNS])
+@pytest.mark.parametrize("kind, params", [("pi_1ab", (2, 3)), ("D_1ab", (2, 3)), *_PRIME_PATTERNS,
+                                          ("D_1ab", (2, 2)), ("D_sr", (2, 2))])
 def test_numpy_is_loaded_before_an_omega_count_forks_and_never_for_primality(kind, params):
-    # an Omega count's workers share the caller's numpy pages; a prime pattern
-    # never loads numpy at all
+    # an Omega count's workers share the caller's numpy pages; a count whose
+    # bounds are all 1 or 2 never loads numpy at all
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(engine.__file__)),
            "TRIPLESIEVE_THREADS": "2"}
     run = subprocess.run([sys.executable, "-c", _FORK_PROBE.format(kind=kind, params=params)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == repr([max(params) > 1] * 2)
+    assert run.stdout.strip() == repr([max(params) > 2] * 2)
 
 
 def _no_child_left():
@@ -850,13 +966,13 @@ def test_a_failed_worker_fails_the_count_and_leaves_no_child(monkeypatch, capfd,
     if failure == "caller is interrupted":
         monkeypatch.setattr(os, "waitpid", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            count_pi_1ab(200_000, 2, 2)
+            count_pi_1ab(200_000, 2, 3)
         assert reaped == [0, -signal.SIGKILL]  # the first worker had finished
     else:
         status = 1 if failure == "child raises" else -signal.SIGKILL
         sent = 8 if failure == "child is killed at exit" else 0
         with pytest.raises(RuntimeError, match=f"exited with status {status} after sending {sent} "):
-            count_pi_1ab(200_000, 2, 2)
+            count_pi_1ab(200_000, 2, 3)
         if failure == "child raises":  # the worker imports traceback only to print this
             err = capfd.readouterr().err
             assert "Traceback (most recent call last)" in err and "ValueError: injected" in err, err
